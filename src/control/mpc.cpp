@@ -182,6 +182,7 @@ void MpcController::step_into(const MpcStep& input, MpcResult& result) {
   result.status = res.status;
   result.objective = res.objective;
   result.solver_iterations = res.iterations;
+  result.rho_updates = res.rho_updates;
   result.delta_u.assign(res.delta_u.begin(),
                         res.delta_u.begin() + static_cast<std::ptrdiff_t>(m));
   result.u.resize(m);
@@ -298,6 +299,7 @@ void MpcController::finish_dense(const MpcStep& input, MpcResult& result,
   result.status = solved.status;
   result.objective = solved.objective;
   result.solver_iterations = solved.iterations;
+  result.rho_updates = 0;
   result.delta_u.assign(solved.x.begin(),
                         solved.x.begin() + static_cast<std::ptrdiff_t>(m));
   result.u.resize(m);

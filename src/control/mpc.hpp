@@ -69,7 +69,7 @@ struct MpcConfig {
   // Optional shared cache of condensed factorizations (not owned by any
   // single controller): when set, the condensed configure pulls its
   // factors from here so controllers with identical shape/cost/penalty
-  // keys amortize the factorization and share the capacitance matrix.
+  // keys amortize the factorization and share its memory.
   std::shared_ptr<solvers::CondensedFactorCache> factor_cache;
 };
 
@@ -90,6 +90,9 @@ struct MpcResult {
   linalg::Vector predicted_y;  // Y_1 under the returned input
   double objective = 0.0;
   std::size_t solver_iterations = 0;
+  // ρ-ladder switches inside the condensed solve (0 on the dense paths,
+  // whose ADMM keeps a fixed ρ).
+  std::size_t rho_updates = 0;
   // Whether the QP was started from the previous step's stacked move
   // solution (false on the first step and after a constraint-shape
   // change invalidated the cache).

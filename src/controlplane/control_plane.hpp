@@ -21,8 +21,8 @@
 //
 //  * Amortized MPC configuration. The plane installs one shared
 //    solvers::CondensedFactorCache into every fleet, so fleets with the
-//    same plant shape/weights/penalties pay the O(β2³ + (β2·N)³)
-//    condensed factorization once and share the capacitance-inverse
+//    same plant shape/weights/penalties pay the condensed factorization
+//    (the whole ρ ladder, O(N·β2³) per rung) once and share its
 //    memory. Hit/miss counts surface in the report.
 //
 //  * Lock-free result aggregation. Workers write only their fleet's

@@ -353,6 +353,7 @@ CostController::Decision CostController::step(
   const control::MpcResult& mpc_result = mpc_result_;
   decision.mpc_status = mpc_result.status;
   decision.mpc_iterations = mpc_result.solver_iterations;
+  decision.mpc_rho_updates = mpc_result.rho_updates;
   decision.mpc_warm_started = mpc_result.warm_started;
   decision.predicted_power_w =
       linalg::scale(kPowerScale, mpc_result.predicted_y);

@@ -39,7 +39,7 @@ class CostController {
     // Optional shared cache of condensed MPC factorizations (runtime
     // wiring, never serialized): controllers with the same plant shape,
     // weights and penalty parameters then share one factorization
-    // instead of each paying the O((β2·N)³) configure cost.
+    // instead of each paying the O(N·β2³) configure cost.
     std::shared_ptr<solvers::CondensedFactorCache> factor_cache{};
     // Demand-charge tariff (market/billing.hpp). With params.
     // demand_charge_aware the controller meters its own grid-power
@@ -63,6 +63,7 @@ class CostController {
     control::ReferenceSolution reference;
     solvers::QpStatus mpc_status = solvers::QpStatus::kMaxIterations;
     std::size_t mpc_iterations = 0;   // QP iterations this period
+    std::size_t mpc_rho_updates = 0;  // condensed ρ-ladder switches
     bool mpc_warm_started = false;    // QP seeded from the previous move
     std::vector<double> predicted_power_w;  // MPC's Y_1
     std::vector<double> predicted_demands;  // references' workload input

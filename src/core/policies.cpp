@@ -43,7 +43,8 @@ PolicyDecision MpcPolicy::decide(const PolicyContext& context) {
   result.servers = decision.servers;
   result.solver = SolverTelemetry{decision.mpc_status, decision.mpc_iterations,
                                   decision.mpc_warm_started,
-                                  decision.fallback_tier};
+                                  decision.fallback_tier,
+                                  decision.mpc_rho_updates};
   result.invariants = decision.invariants;
   result.battery_w = decision.battery_w;
   result.battery_soc_j = decision.battery_soc_j;

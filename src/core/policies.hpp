@@ -41,6 +41,7 @@ struct SolverTelemetry {
   // How far down the degradation chain this period went (tier 0 = the
   // configured backend converged).
   check::FallbackTier fallback_tier = check::FallbackTier::kNone;
+  std::size_t rho_updates = 0;  // condensed ρ-ladder switches
 };
 
 struct PolicyDecision {

@@ -333,7 +333,8 @@ SimulationResult run_simulation(const Scenario& scenario,
         telemetry->record_solver(decision.solver->status,
                                  decision.solver->iterations,
                                  decision.solver->warm_started,
-                                 decision.solver->fallback_tier);
+                                 decision.solver->fallback_tier,
+                                 decision.solver->rho_updates);
       }
       telemetry->record_invariants(decision.invariants);
     }

@@ -31,6 +31,8 @@ JsonValue telemetry_to_json(const RunTelemetry& telemetry) {
   solver["warm_start_hits"] =
       JsonValue(static_cast<double>(telemetry.warm_start_hits));
   solver["warm_start_hit_rate"] = JsonValue(telemetry.warm_start_hit_rate());
+  solver["rho_updates"] =
+      JsonValue(static_cast<double>(telemetry.solver_rho_updates));
   object["solver"] = JsonValue(std::move(solver));
 
   JsonValue::Object fallback;

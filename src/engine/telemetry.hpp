@@ -83,6 +83,9 @@ struct RunTelemetry {
   std::uint64_t status_max_iterations = 0;
   std::uint64_t status_infeasible = 0;
   std::uint64_t warm_start_hits = 0;
+  // Condensed-solver ρ-ladder switches (deterministic, like the counters
+  // above; zero on the dense backends).
+  std::uint64_t solver_rho_updates = 0;
 
   // Degradation-chain counters (gridctl::check): periods rescued by the
   // alternate QP backend (tier 1) and periods that re-applied the last
@@ -98,9 +101,11 @@ struct RunTelemetry {
 
   void record_solver(solvers::QpStatus status, std::size_t iterations,
                      bool warm_started,
-                     check::FallbackTier tier = check::FallbackTier::kNone) {
+                     check::FallbackTier tier = check::FallbackTier::kNone,
+                     std::size_t rho_updates = 0) {
     ++solver_calls;
     solver_iterations += iterations;
+    solver_rho_updates += rho_updates;
     switch (status) {
       case solvers::QpStatus::kOptimal: ++status_optimal; break;
       case solvers::QpStatus::kMaxIterations: ++status_max_iterations; break;

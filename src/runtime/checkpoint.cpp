@@ -120,6 +120,7 @@ JsonValue telemetry_counters_to_json(const engine::RunTelemetry& telemetry) {
   object.emplace("status_max_iterations", num(telemetry.status_max_iterations));
   object.emplace("status_infeasible", num(telemetry.status_infeasible));
   object.emplace("warm_start_hits", num(telemetry.warm_start_hits));
+  object.emplace("solver_rho_updates", num(telemetry.solver_rho_updates));
   object.emplace("fallback_backend_retries",
                  num(telemetry.fallback_backend_retries));
   object.emplace("fallback_holds", num(telemetry.fallback_holds));
@@ -145,6 +146,11 @@ engine::RunTelemetry telemetry_counters_from_json(const JsonValue& json) {
   telemetry.status_max_iterations = as_u64(json.at("status_max_iterations"));
   telemetry.status_infeasible = as_u64(json.at("status_infeasible"));
   telemetry.warm_start_hits = as_u64(json.at("warm_start_hits"));
+  // Optional: checkpoints written before the condensed solver adapted ρ
+  // carry no such counter and resume it from zero.
+  if (json.as_object().count("solver_rho_updates") > 0) {
+    telemetry.solver_rho_updates = as_u64(json.at("solver_rho_updates"));
+  }
   telemetry.fallback_backend_retries =
       as_u64(json.at("fallback_backend_retries"));
   telemetry.fallback_holds = as_u64(json.at("fallback_holds"));

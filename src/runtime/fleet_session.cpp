@@ -319,7 +319,8 @@ void FleetSession::execute_step(std::uint64_t step) {
   telemetry_.step_hist.record(step_wall_s * 1e6);
   stats_.step_wall_hist.record(step_wall_s * 1e6);
   telemetry_.record_solver(decision.mpc_status, decision.mpc_iterations,
-                           decision.mpc_warm_started, decision.fallback_tier);
+                           decision.mpc_warm_started, decision.fallback_tier,
+                           decision.mpc_rho_updates);
   telemetry_.record_invariants(decision.invariants);
 
   if (step_wall_s > stats_.deadline_s) {

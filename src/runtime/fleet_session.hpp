@@ -112,7 +112,7 @@ struct RuntimeOptions {
   std::size_t progress_every = 0;
   std::function<void(const Progress&)> on_progress;
   // Optional process-wide cache of condensed MPC factorizations. Fleets
-  // sharing a plant shape then pay the O((β2·N)³) configure cost once
+  // sharing a plant shape then pay the O(N·β2³) configure cost once
   // (the control plane installs one cache across all its fleets).
   std::shared_ptr<solvers::CondensedFactorCache> factor_cache;
 };

@@ -5,6 +5,7 @@
 
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen.hpp"
+#include "linalg/lu.hpp"
 #include "util/error.hpp"
 
 namespace gridctl::solvers {
@@ -20,20 +21,18 @@ void TransportQpShape::validate() const {
           "TransportQpShape: prediction horizon must be >= control horizon");
 }
 
-namespace {
-
-// The tick-independent factorization body, shared by local configure()
-// and the process-wide CondensedFactorCache. `rho_in`, `rho_eq` and
-// `diag_shift` are the scalars configure() derives from the ADMM
-// options (diag_shift folds in the nonnegative-rows rho).
-std::shared_ptr<const CondensedFactors> build_factors(
-    const TransportQpShape& shape, const TransportQpCost& cost, double rho_in,
-    double rho_eq, double diag_shift) {
+std::shared_ptr<const CondensedFactors> build_condensed_factors(
+    const TransportQpShape& shape, const TransportQpCost& cost,
+    const AdmmOptions& options) {
   auto factors = std::make_shared<CondensedFactors>();
   const std::size_t nidc = shape.idcs;
   const std::size_t b1 = shape.prediction;
   const std::size_t b2 = shape.control;
   const double two_r = 2.0 * cost.r;
+  const double nd = static_cast<double>(nidc);
+  const double cd = static_cast<double>(shape.portals);
+  factors->idcs = nidc;
+  factors->control = b2;
 
   // cnt_t = |{prediction steps tracked by control step t}|: one per step
   // except the last control step, which is held for the remaining
@@ -47,14 +46,34 @@ std::shared_ptr<const CondensedFactors> build_factors(
     }
   }
 
-  // Block-Thomas Schur complements over the anchored-chain matrix T.
-  // Every block lives in the algebra {a·I + b·J}, J = I_C ⊗ 1_N 1_Nᵀ,
-  // J² = N·J, so S_t reduces to two scalars with the inverse
-  // (a I + b J)⁻¹ = (1/a) I − b/(a(a+Nb)) J.
-  factors->thomas_ip.assign(b2, 0.0);
-  factors->thomas_iq.assign(b2, 0.0);
-  {
-    const double nd = static_cast<double>(nidc);
+  // T = Q Λ Qᵀ is shared by every rung; only the shifts depend on ρ.
+  Matrix tmat(b2, b2);
+  for (std::size_t t = 0; t < b2; ++t) {
+    tmat(t, t) = (t + 1 < b2) ? 2.0 : 1.0;
+    if (t + 1 < b2) {
+      tmat(t, t + 1) = -1.0;
+      tmat(t + 1, t) = -1.0;
+    }
+  }
+  const linalg::SymmetricEigen eig = linalg::symmetric_eigen(tmat);
+
+  factors->rungs.resize(kRhoLadderRungs);
+  for (std::size_t k = 0; k < kRhoLadderRungs; ++k) {
+    CondensedRung& rung = factors->rungs[k];
+    const double exponent =
+        static_cast<double>(k) - static_cast<double>(kRhoLadderHome);
+    rung.rho = options.rho * std::pow(kRhoLadderStep, exponent);
+    const double rho_in = rung.rho;
+    const double rho_eq = rung.rho * options.rho_eq_scale;
+    const double diag_shift =
+        options.sigma + (shape.nonnegative ? rho_in : 0.0);
+
+    // Block-Thomas Schur complements over the anchored-chain matrix T.
+    // Every block lives in the algebra {a·I + b·J}, J = I_C ⊗ 1_N 1_Nᵀ,
+    // J² = N·J, so S_t reduces to two scalars with the inverse
+    // (a I + b J)⁻¹ = (1/a) I − b/(a(a+Nb)) J.
+    rung.thomas_ip.assign(b2, 0.0);
+    rung.thomas_iq.assign(b2, 0.0);
     double prev_ip = 0.0, prev_iq = 0.0;
     for (std::size_t t = 0; t < b2; ++t) {
       const double t_diag = (t + 1 < b2) ? 2.0 : 1.0;
@@ -68,79 +87,120 @@ std::shared_ptr<const CondensedFactors> build_factors(
         throw NumericalError(
             "CondensedQpSolver: x-update system is not positive definite");
       }
-      factors->thomas_ip[t] = 1.0 / p;
-      factors->thomas_iq[t] = -q / (p * (p + nd * q));
-      prev_ip = factors->thomas_ip[t];
-      prev_iq = factors->thomas_iq[t];
+      rung.thomas_ip[t] = 1.0 / p;
+      rung.thomas_iq[t] = -q / (p * (p + nd * q));
+      prev_ip = rung.thomas_ip[t];
+      prev_iq = rung.thomas_iq[t];
     }
-  }
 
-  // Woodbury capacitance K = D̃⁻¹ + Wᵀ B⁻¹ W, assembled from the Jacobi
-  // eigendecomposition T = Q Λ Qᵀ: in the rotated basis the blocks of B
-  // are (d_k I + rho_eq J) with d_k = 2r λ_k + diag_shift, whose inverse
-  // is (1/d_k) I − (φ_k/d_k) J, φ_k = rho_eq/(d_k + N rho_eq). Summing
-  // the C identical portal blocks of Wᵀ·W gives, per (t,t') pair,
-  //   C·u(t,t')·δ_jj' + C·v(t,t'),
-  // u(t,t') = Σ_k Q_tk Q_t'k / d_k, v(t,t') = −Σ_k Q_tk Q_t'k φ_k / d_k.
-  {
-    Matrix tmat(b2, b2);
-    for (std::size_t t = 0; t < b2; ++t) {
-      tmat(t, t) = (t + 1 < b2) ? 2.0 : 1.0;
-      if (t + 1 < b2) {
-        tmat(t, t + 1) = -1.0;
-        tmat(t + 1, t) = -1.0;
-      }
-    }
-    const linalg::SymmetricEigen eig = linalg::symmetric_eigen(tmat);
-    const double nd = static_cast<double>(nidc);
+    // Wᵀ B⁻¹ W from the eigendecomposition: in the rotated basis the
+    // blocks of B are (d_k I + rho_eq J) with d_k = 2r λ_k + diag_shift,
+    // whose inverse is (1/d_k) I − (φ_k/d_k) J, φ_k = rho_eq/(d_k + N
+    // rho_eq). Summing the C identical portal blocks of Wᵀ·W gives, per
+    // (t,t') pair, C·u(t,t')·δ_jj' + C·v(t,t'),
+    // u(t,t') = Σ_k Q_tk Q_t'k / d_k, v(t,t') = −Σ_k Q_tk Q_t'k φ_k / d_k.
     Vector dk(b2), phik(b2);
-    for (std::size_t k = 0; k < b2; ++k) {
-      dk[k] = two_r * eig.values[k] + diag_shift;
-      if (dk[k] <= 0.0) {
+    for (std::size_t i = 0; i < b2; ++i) {
+      dk[i] = two_r * eig.values[i] + diag_shift;
+      if (dk[i] <= 0.0) {
         throw NumericalError(
             "CondensedQpSolver: rotated x-update blocks are singular");
       }
-      phik[k] = rho_eq / (dk[k] + nd * rho_eq);
+      phik[i] = rho_eq / (dk[i] + nd * rho_eq);
     }
-    Matrix ucoef(b2, b2), vcoef(b2, b2);
+    // A' = C·Q diag(1/(d_k + N rho_eq)) Qᵀ = C·U + N·G is the
+    // capacitance's block on the IDC-uniform direction, where C·U and
+    // N·G nearly cancel when rho_eq ≫ d_k; forming it directly keeps
+    // that cancellation out of the factorization.
+    Matrix cu(b2, b2), gmat(b2, b2), aprime(b2, b2);
     for (std::size_t t = 0; t < b2; ++t) {
       for (std::size_t tp = 0; tp < b2; ++tp) {
-        double usum = 0.0, vsum = 0.0;
-        for (std::size_t k = 0; k < b2; ++k) {
-          const double qq = eig.vectors(t, k) * eig.vectors(tp, k);
-          usum += qq / dk[k];
-          vsum -= qq * phik[k] / dk[k];
+        double usum = 0.0, vsum = 0.0, asum = 0.0;
+        for (std::size_t i = 0; i < b2; ++i) {
+          const double qq = eig.vectors(t, i) * eig.vectors(tp, i);
+          usum += qq / dk[i];
+          vsum -= qq * phik[i] / dk[i];
+          asum += qq / (dk[i] + nd * rho_eq);
         }
-        ucoef(t, tp) = usum;
-        vcoef(t, tp) = vsum;
+        cu(t, tp) = cd * usum;
+        gmat(t, tp) = cd * vsum;
+        aprime(t, tp) = cd * asum;
       }
     }
-    const double cd = static_cast<double>(shape.portals);
-    Matrix kmat(b2 * nidc, b2 * nidc);
-    for (std::size_t t = 0; t < b2; ++t) {
-      for (std::size_t tp = 0; tp < b2; ++tp) {
-        for (std::size_t j = 0; j < nidc; ++j) {
-          for (std::size_t jp = 0; jp < nidc; ++jp) {
-            double entry = cd * vcoef(t, tp);
-            if (j == jp) entry += cd * ucoef(t, tp);
-            if (t == tp && j == jp) {
-              entry += 1.0 / (rho_in + 2.0 * factors->chat[t * nidc + j]);
-            }
-            kmat(t * nidc + j, tp * nidc + jp) = entry;
-          }
+
+    // The nested Woodbury blocks: M_j⁻¹ per IDC, M_j = C·U + D_j with
+    // D_j = diag_t 1/(ρ + 2ĉ_{t,j}) (the Cholesky constructor is also
+    // the SPD check), and H = G(I + S·G)⁻¹ with S = Σ_j M_j⁻¹. Since
+    // M_j⁻¹·C·U = I − M_j⁻¹D_j and N·G = A' − C·U, the inner matrix is
+    //   I + S·G = (1/N) Σ_j M_j⁻¹ (A' + D_j),
+    // a sum without cancellation. H = (I + G·S)⁻¹ G, a solve against its
+    // transpose.
+    const Matrix identity = Matrix::identity(b2);
+    rung.minv.assign(nidc * b2 * b2, 0.0);
+    Matrix ipsg(b2, b2);
+    for (std::size_t j = 0; j < nidc; ++j) {
+      Matrix mj = cu;
+      Matrix apd = aprime;
+      for (std::size_t t = 0; t < b2; ++t) {
+        const double dj = 1.0 / (rho_in + 2.0 * factors->chat[t * nidc + j]);
+        mj(t, t) += dj;
+        apd(t, t) += dj;
+      }
+      const Matrix mjinv = linalg::Cholesky(mj).solve(identity);
+      std::copy(mjinv.data(), mjinv.data() + b2 * b2,
+                rung.minv.data() + j * b2 * b2);
+      for (std::size_t t = 0; t < b2; ++t) {
+        for (std::size_t tp = 0; tp < b2; ++tp) {
+          double acc = 0.0;
+          for (std::size_t i = 0; i < b2; ++i) acc += mjinv(t, i) * apd(i, tp);
+          ipsg(t, tp) += acc / nd;
         }
       }
     }
-    // K is factorized once and inverted against the identity: the
-    // Cholesky constructor is also the SPD check. Forming K⁻¹ costs
-    // O((β2·N)³) once; every iteration then pays one vectorizable
-    // symmetric GEMV instead of two bandwidth-bound triangular solves.
-    factors->kinv = linalg::Cholesky(kmat).solve(Matrix::identity(b2 * nidc));
+    const Matrix hmat = linalg::Lu(ipsg.transpose()).solve(gmat);
+    rung.h.assign(hmat.data(), hmat.data() + b2 * b2);
   }
   return factors;
 }
 
-}  // namespace
+void CondensedFactors::solve_capacitance(std::size_t rung, const double* c,
+                                         double* w, double* scratch) const {
+  const std::size_t b2 = control;
+  const std::size_t bb = b2 * b2;
+  const CondensedRung& rg = rungs[rung];
+  double* s = scratch;            // Σ_j M_j⁻¹ c_j
+  double* hs = scratch + b2;      // H s
+  double* cj = scratch + 2 * b2;  // c_j gathered out of the t-major layout
+  std::fill(s, s + b2, 0.0);
+  // a_j = M_j⁻¹ c_j, parked in w.
+  for (std::size_t j = 0; j < idcs; ++j) {
+    const double* mj = rg.minv.data() + j * bb;
+    for (std::size_t t = 0; t < b2; ++t) cj[t] = c[t * idcs + j];
+    for (std::size_t t = 0; t < b2; ++t) {
+      const double* row = mj + t * b2;
+      double acc = 0.0;
+      for (std::size_t tp = 0; tp < b2; ++tp) acc += row[tp] * cj[tp];
+      w[t * idcs + j] = acc;
+      s[t] += acc;
+    }
+  }
+  for (std::size_t t = 0; t < b2; ++t) {
+    const double* row = rg.h.data() + t * b2;
+    double acc = 0.0;
+    for (std::size_t tp = 0; tp < b2; ++tp) acc += row[tp] * s[tp];
+    hs[t] = acc;
+  }
+  // w_j = a_j − M_j⁻¹ H s.
+  for (std::size_t j = 0; j < idcs; ++j) {
+    const double* mj = rg.minv.data() + j * bb;
+    for (std::size_t t = 0; t < b2; ++t) {
+      const double* row = mj + t * b2;
+      double acc = 0.0;
+      for (std::size_t tp = 0; tp < b2; ++tp) acc += row[tp] * hs[tp];
+      w[t * idcs + j] -= acc;
+    }
+  }
+}
 
 const CondensedFactorCache::Entry* CondensedFactorCache::find_locked(
     const TransportQpShape& shape, const TransportQpCost& cost,
@@ -173,13 +233,9 @@ std::shared_ptr<const CondensedFactors> CondensedFactorCache::get(
     return entry->factors;
   }
   ++misses_;
-  const double rho_in = options.rho;
-  const double rho_eq = options.rho * options.rho_eq_scale;
-  const double diag_shift = options.sigma + (shape.nonnegative ? rho_in : 0.0);
   Entry entry{shape,         cost,
               options.rho,   options.rho_eq_scale,
-              options.sigma, build_factors(shape, cost, rho_in, rho_eq,
-                                           diag_shift)};
+              options.sigma, build_condensed_factors(shape, cost, options)};
   entries_.push_back(entry);
   return entry.factors;
 }
@@ -219,10 +275,6 @@ void CondensedQpSolver::configure(const TransportQpShape& shape,
   shape_ = shape;
   cost_ = cost;
   options_ = options;
-  rho_in_ = options.rho;
-  inv_rho_in_ = 1.0 / options.rho;
-  rho_eq_ = options.rho * options.rho_eq_scale;
-  diag_shift_ = options.sigma + (shape.nonnegative ? rho_in_ : 0.0);
 
   const std::size_t b1 = shape.prediction;
   const std::size_t b2 = shape.control;
@@ -230,7 +282,7 @@ void CondensedQpSolver::configure(const TransportQpShape& shape,
   const std::size_t rows = shape.num_rows();
 
   factors_ = cache ? cache->get(shape, cost, options)
-                   : build_factors(shape, cost, rho_in_, rho_eq_, diag_shift_);
+                   : build_condensed_factors(shape, cost, options);
 
   // Arena.
   x_.assign(n, 0.0);
@@ -248,50 +300,44 @@ void CondensedQpSolver::configure(const TransportQpShape& shape,
   beq_.assign(shape.portals, 0.0);
   ghat_.assign(b1 * nidc, 0.0);
   qlin_.assign(b2 * nidc, 0.0);
+  kscratch_.assign(3 * b2, 0.0);
   result_.delta_u.assign(n, 0.0);
   result_.y.assign(rows, 0.0);
   result_.y1.assign(nidc, 0.0);
   configured_ = true;
 }
 
-void CondensedQpSolver::solve_b_in_place(double* x, std::size_t groups) const {
+void CondensedQpSolver::solve_b_reduced(const CondensedRung& rung,
+                                        double* x) const {
   const std::size_t b2 = shape_.control;
   const std::size_t nidc = shape_.idcs;
-  const std::size_t blk = groups * nidc;
   const double two_r = 2.0 * cost_.r;
   // Forward sweep: y_t = rhs_t + 2r S_{t-1}⁻¹ y_{t-1}.
   for (std::size_t t = 1; t < b2; ++t) {
-    const double* prev = x + (t - 1) * blk;
-    double* cur = x + t * blk;
-    const double ip = factors_->thomas_ip[t - 1];
-    const double iq = factors_->thomas_iq[t - 1];
-    for (std::size_t g = 0; g < groups; ++g) {
-      const double* pv = prev + g * nidc;
-      double* cv = cur + g * nidc;
-      double s = 0.0;
-      for (std::size_t j = 0; j < nidc; ++j) s += pv[j];
-      const double add = iq * s;
-      for (std::size_t j = 0; j < nidc; ++j) {
-        cv[j] += two_r * (ip * pv[j] + add);
-      }
+    const double* pv = x + (t - 1) * nidc;
+    double* cv = x + t * nidc;
+    const double ip = rung.thomas_ip[t - 1];
+    const double iq = rung.thomas_iq[t - 1];
+    double s = 0.0;
+    for (std::size_t j = 0; j < nidc; ++j) s += pv[j];
+    const double add = iq * s;
+    for (std::size_t j = 0; j < nidc; ++j) {
+      cv[j] += two_r * (ip * pv[j] + add);
     }
   }
   // Backward sweep: x_t = S_t⁻¹ (y_t + 2r x_{t+1}).
   for (std::size_t ti = b2; ti-- > 0;) {
-    double* cur = x + ti * blk;
+    double* cv = x + ti * nidc;
     if (ti + 1 < b2) {
-      const double* next = x + (ti + 1) * blk;
-      for (std::size_t k = 0; k < blk; ++k) cur[k] += two_r * next[k];
+      const double* next = x + (ti + 1) * nidc;
+      for (std::size_t j = 0; j < nidc; ++j) cv[j] += two_r * next[j];
     }
-    const double ip = factors_->thomas_ip[ti];
-    const double iq = factors_->thomas_iq[ti];
-    for (std::size_t g = 0; g < groups; ++g) {
-      double* cv = cur + g * nidc;
-      double s = 0.0;
-      for (std::size_t j = 0; j < nidc; ++j) s += cv[j];
-      const double add = iq * s;
-      for (std::size_t j = 0; j < nidc; ++j) cv[j] = ip * cv[j] + add;
-    }
+    const double ip = rung.thomas_ip[ti];
+    const double iq = rung.thomas_iq[ti];
+    double s = 0.0;
+    for (std::size_t j = 0; j < nidc; ++j) s += cv[j];
+    const double add = iq * s;
+    for (std::size_t j = 0; j < nidc; ++j) cv[j] = ip * cv[j] + add;
   }
 }
 
@@ -430,6 +476,14 @@ const CondensedQpResult& CondensedQpSolver::solve(
   result_.iterations = 0;
   result_.primal_residual = 0.0;
   result_.dual_residual = 0.0;
+  result_.rho_updates = 0;
+
+  // Every solve starts on the home rung (the configured ρ).
+  std::size_t rung_index = kRhoLadderHome;
+  const CondensedRung* rung = &factors_->rungs[rung_index];
+  double rho_in = rung->rho;
+  double inv_rho_in = 1.0 / rho_in;
+  double rho_eq = rho_in * options_.rho_eq_scale;
 
   const std::size_t max_iter =
       max_iterations > 0 ? max_iterations : options_.max_iterations;
@@ -446,7 +500,7 @@ const CondensedQpResult& CondensedQpSolver::solve(
       const double* ycap = y_.data() + eq_rows + t * nidc;
       double* ca = capadd_.data() + t * nidc;
       for (std::size_t j = 0; j < nidc; ++j) {
-        ca[j] = rho_in_ * zcap[j] - ycap[j];
+        ca[j] = rho_in * zcap[j] - ycap[j];
       }
     }
     for (std::size_t t = 0; t < b2; ++t) {
@@ -460,7 +514,7 @@ const CondensedQpResult& CondensedQpSolver::solve(
           shape_.nonnegative ? y_.data() + eq_rows + cap_rows + t * m : nullptr;
       for (std::size_t i = 0; i < cport; ++i) {
         const std::size_t eq_row = t * cport + i;
-        const double eq_add = rho_eq_ * z_[eq_row] - y_[eq_row];
+        const double eq_add = rho_eq * z_[eq_row] - y_[eq_row];
         const double* xr = xb + i * nidc;
         double* rr = rb + i * nidc;
         for (std::size_t j = 0; j < nidc; ++j) {
@@ -471,7 +525,7 @@ const CondensedQpResult& CondensedQpSolver::solve(
           const double* zr = znn + i * nidc;
           const double* yr = ynn + i * nidc;
           for (std::size_t j = 0; j < nidc; ++j) {
-            rr[j] += rho_in_ * zr[j] - yr[j];
+            rr[j] += rho_in * zr[j] - yr[j];
           }
         }
       }
@@ -480,8 +534,8 @@ const CondensedQpResult& CondensedQpSolver::solve(
       // both blocks cache-hot.
       if (t > 0) {
         const double* prev = u_.data() + (t - 1) * m;
-        const double ip = factors_->thomas_ip[t - 1];
-        const double iq = factors_->thomas_iq[t - 1];
+        const double ip = rung->thomas_ip[t - 1];
+        const double iq = rung->thomas_iq[t - 1];
         for (std::size_t g = 0; g < cport; ++g) {
           const double* pv = prev + g * nidc;
           double* cv = rb + g * nidc;
@@ -507,8 +561,8 @@ const CondensedQpResult& CondensedQpSolver::solve(
         const double* next = u_.data() + (ti + 1) * m;
         for (std::size_t k = 0; k < m; ++k) cur[k] += two_r * next[k];
       }
-      const double ip = factors_->thomas_ip[ti];
-      const double iq = factors_->thomas_iq[ti];
+      const double ip = rung->thomas_ip[ti];
+      const double iq = rung->thomas_iq[ti];
       for (std::size_t g = 0; g < cport; ++g) {
         double* cv = cur + g * nidc;
         double s = 0.0;
@@ -521,22 +575,9 @@ const CondensedQpResult& CondensedQpSolver::solve(
         for (std::size_t j = 0; j < nidc; ++j) cb[j] += cur[i * nidc + j];
       }
     }
-    // w = K⁻¹ c as a symmetric GEMV in saxpy form (row r of K⁻¹ scaled
-    // by c_r — contiguous, so the inner loop vectorizes, unlike the
-    // data-dependent recurrences of a triangular solve).
-    std::fill(wvec_.begin(), wvec_.end(), 0.0);
-    {
-      const std::size_t bn = b2 * nidc;
-      const double* kinv = factors_->kinv.data();
-      double* wv = wvec_.data();
-      for (std::size_t r = 0; r < bn; ++r) {
-        const double cr = cvec_[r];
-        if (cr == 0.0) continue;
-        const double* krow = kinv + r * bn;
-        for (std::size_t c = 0; c < bn; ++c) wv[c] += krow[c] * cr;
-      }
-    }
-    solve_b_in_place(wvec_.data(), 1);
+    factors_->solve_capacitance(rung_index, cvec_.data(), wvec_.data(),
+                                kscratch_.data());
+    solve_b_reduced(*rung, wvec_.data());
 
     // One ascending pipeline per step block does the rest of the
     // iteration: x̃_t = u_t − W w_t (never stored — consumed in-register),
@@ -548,8 +589,9 @@ const CondensedQpResult& CondensedQpSolver::solve(
     // Residuals and tolerances match qp_admm's compute_residuals; the
     // dual-residual scan for block t−1 rides one block behind so its
     // x_{t−2..t} neighborhood is final and still cache-hot.
+    const bool adapt = iter % kRhoAdaptInterval == 0;
     const bool check =
-        iter % options_.check_interval == 0 || iter == max_iter;
+        adapt || iter % options_.check_interval == 0 || iter == max_iter;
     double primal = 0.0, norm_ax = 0.0, norm_z = 0.0;
     double dual = 0.0, norm_px = 0.0, norm_aty = 0.0;
     const auto dual_block = [&](std::size_t t) {
@@ -610,8 +652,8 @@ const CondensedQpResult& CondensedQpSolver::solve(
           if (znr != nullptr) {
             // Same z/y formulas as qp_admm with zt = x̃ for these rows.
             const double zr = alpha * v + (1.0 - alpha) * znr[j];
-            const double znew = std::max(zr + ynr[j] * inv_rho_in_, -upr[j]);
-            ynr[j] += rho_in_ * (zr - znew);
+            const double znew = std::max(zr + ynr[j] * inv_rho_in, -upr[j]);
+            ynr[j] += rho_in * (zr - znew);
             znr[j] = znew;
             primal = std::max(primal, std::abs(xnew - znew));
             norm_ax = std::max(norm_ax, std::abs(xnew));
@@ -632,15 +674,15 @@ const CondensedQpResult& CondensedQpSolver::solve(
       for (std::size_t i = 0; i < cport; ++i) {
         const double zr = alpha * eq[i] + (1.0 - alpha) * zeq[i];
         // clamp(zr + y/rho, b, b) = b, so z collapses to the bound.
-        yeq[i] += rho_eq_ * (zr - beq_[i]);
+        yeq[i] += rho_eq * (zr - beq_[i]);
         zeq[i] = beq_[i];
         axeq[i] = alpha * eq[i] + (1.0 - alpha) * axeq[i];
       }
       for (std::size_t j = 0; j < nidc; ++j) {
         const double zr = alpha * cap[j] + (1.0 - alpha) * zcap[j];
         const double znew =
-            std::clamp(zr + ycap[j] * inv_rho_in_, caplo_[j], capup_[j]);
-        ycap[j] += rho_in_ * (zr - znew);
+            std::clamp(zr + ycap[j] * inv_rho_in, caplo_[j], capup_[j]);
+        ycap[j] += rho_in * (zr - znew);
         zcap[j] = znew;
         axcap[j] = alpha * cap[j] + (1.0 - alpha) * axcap[j];
       }
@@ -675,8 +717,37 @@ const CondensedQpResult& CondensedQpSolver::solve(
         result_.status = QpStatus::kOptimal;
         break;
       }
+      if (adapt) {
+        // OSQP's residual balancing, snapped to the ladder: move only
+        // when the balancing ratio leaves [1/kRhoAdaptTolerance,
+        // kRhoAdaptTolerance].
+        constexpr double kTiny = 1e-30;
+        const double primal_rel =
+            primal / (std::max(norm_ax, norm_z) + kTiny);
+        const double dual_rel =
+            dual / (std::max({norm_px, norm_aty, norm_q}) + kTiny);
+        const double ratio = primal_rel / (dual_rel + kTiny);
+        if (ratio > kRhoAdaptTolerance || ratio * kRhoAdaptTolerance < 1.0) {
+          const double target = rho_in * std::sqrt(ratio);
+          const double steps = std::round(std::log(target / options_.rho) /
+                                          std::log(kRhoLadderStep));
+          const double clamped = std::clamp(
+              steps + static_cast<double>(kRhoLadderHome), 0.0,
+              static_cast<double>(kRhoLadderRungs - 1));
+          const auto next = static_cast<std::size_t>(clamped);
+          if (next != rung_index) {
+            rung_index = next;
+            rung = &factors_->rungs[rung_index];
+            rho_in = rung->rho;
+            inv_rho_in = 1.0 / rho_in;
+            rho_eq = rho_in * options_.rho_eq_scale;
+            ++result_.rho_updates;
+          }
+        }
+      }
     }
   }
+  result_.rho = rho_in;
 
   // Primal infeasibility heuristic (same as qp_admm): residuals stalled
   // far from feasible relative to the bound magnitudes.

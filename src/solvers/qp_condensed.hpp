@@ -24,19 +24,38 @@
 //
 // The per-iteration solve is then a block-Thomas sweep with scalar
 // 2-component coefficient recurrences (O(β2·C·N)) plus a Woodbury
-// correction through a β2N × β2N capacitance matrix K, assembled via
-// the Jacobi eigendecomposition of T and Cholesky-factorized ONCE in
-// configure() — the factorization depends only on the shape, weights
-// and penalty parameters, never on per-tick data, so it is reused
-// across every control period until the plant or horizons change.
+// correction through the β2N × β2N capacitance K = D̃⁻¹ + Wᵀ B⁻¹ W. K is
+// never formed. In IDC-major order it is itself structured:
 //
-// The iteration itself mirrors qp_admm.cpp exactly — same splitting,
-// over-relaxation, per-row rho (equality rows scaled by rho_eq_scale),
-// residual and termination formulas, and primal-infeasibility
-// heuristic — so the two backends agree on converged solutions and on
-// failure semantics; only the parametrization (V vs ΔU) and the linear
-// algebra differ. After configure(), solve() performs no heap
-// allocation: every buffer lives in a preallocated arena.
+//   K = M + E·G·Eᵀ,  M = blockdiag_j(C·U + diag_t 1/(ρ + 2ĉ_{t,j})),
+//                    E = 1_N ⊗ I_β2,  G = C·V,
+//
+// with U, V the β2×β2 coefficient matrices of B⁻¹ taken from the Jacobi
+// eigendecomposition of T. A second Woodbury step gives
+//
+//   K⁻¹c = M⁻¹c − M⁻¹E·H·EᵀM⁻¹c,  H = G(I + S·G)⁻¹,  S = Σ_j M_j⁻¹,
+//
+// so the factorization is N blocks M_j⁻¹ and one H, all β2×β2: O(N·β2³)
+// to build and O(N·β2²) per iteration. It depends only on the shape,
+// weights and penalty parameters, never on per-tick data, so it is
+// built ONCE in configure() and reused across every control period
+// until the plant or horizons change.
+//
+// The iteration follows qp_admm.cpp — same splitting, over-relaxation,
+// per-row rho (equality rows scaled by rho_eq_scale), residual and
+// termination formulas, and primal-infeasibility heuristic — so the two
+// backends agree on converged solutions and on failure semantics. One
+// difference: ρ adapts inside each solve (OSQP's residual balancing,
+// Stellato et al. 2020). Every kRhoAdaptInterval iterations the solver
+// forms the balancing ratio
+//   (r_p / max(‖Ax‖, ‖z‖)) / (r_d / max(‖Px‖, ‖Aᵀy‖, ‖q‖));
+// when it leaves [1/kRhoAdaptTolerance, kRhoAdaptTolerance], the solve
+// moves to the ladder rung nearest ρ·√ratio. The ladder is a fixed
+// geometric one around the configured ρ and every rung is factored in
+// configure(), so a switch costs nothing. Each solve starts on the
+// configured ρ, so the solver carries no state from one solve to the
+// next. After configure(), solve() performs no heap allocation: every
+// buffer lives in a preallocated arena.
 #pragma once
 
 #include <cstddef>
@@ -80,25 +99,60 @@ struct TransportQpCost {
   double r = 0.0;
 };
 
-// The tick-independent factorization configure() produces: the
-// block-Thomas Schur scalars, the Woodbury capacitance inverse and the
-// per-(step, IDC) Hessian diagonal. Immutable once built, so many
-// solvers (one per fleet in the control plane) can read one instance
-// concurrently through shared_ptr<const>.
-struct CondensedFactors {
+// The ρ ladder: rung k runs at ρ·kRhoLadderStep^(k − kRhoLadderHome),
+// k = 0..kRhoLadderRungs−1, so the home rung is the configured ρ and the
+// ladder spans two decades either side of it.
+inline constexpr std::size_t kRhoLadderHome = 4;
+inline constexpr std::size_t kRhoLadderRungs = 2 * kRhoLadderHome + 1;
+inline constexpr double kRhoLadderStep = 3.1622776601683795;  // √10
+// Residual balancing runs every kRhoAdaptInterval iterations and moves
+// only when the balancing ratio leaves [1/kRhoAdaptTolerance,
+// kRhoAdaptTolerance].
+inline constexpr std::size_t kRhoAdaptInterval = 25;
+inline constexpr double kRhoAdaptTolerance = 5.0;
+
+// Everything in the x-update that depends on ρ, for one ladder rung.
+struct CondensedRung {
+  double rho = 0.0;          // inequality-row ρ; equality rows ρ·rho_eq_scale
   linalg::Vector thomas_ip;  // β2 Schur-inverse identity coefficients
   linalg::Vector thomas_iq;  // β2 Schur-inverse J coefficients
-  linalg::Matrix kinv;       // Woodbury capacitance inverse (β2·N × β2·N)
-  linalg::Vector chat;       // β2·N Hessian diagonal cnt_t·q_j·slope_j²
+  linalg::Vector minv;       // N row-major β2×β2 blocks M_j⁻¹, IDC order
+  linalg::Vector h;          // row-major β2×β2 H = G(I + S·G)⁻¹
 };
+
+// The tick-independent factorization configure() produces: the
+// per-(step, IDC) Hessian diagonal and one CondensedRung per ladder
+// rung. Immutable once built, so many solvers (one per fleet in the
+// control plane) can read one instance concurrently through
+// shared_ptr<const>.
+struct CondensedFactors {
+  std::size_t idcs = 0;     // N
+  std::size_t control = 0;  // β2
+  linalg::Vector chat;      // β2·N Hessian diagonal cnt_t·q_j·slope_j²
+  std::vector<CondensedRung> rungs;  // kRhoLadderRungs, ascending ρ
+
+  // w = K⁻¹c for rung `rung`'s capacitance. `c` and `w` are β2·N in the
+  // solver's t-major layout (index t·N + j) and must not alias;
+  // `scratch` holds 3·β2 doubles. Allocation-free.
+  void solve_capacitance(std::size_t rung, const double* c, double* w,
+                         double* scratch) const;
+};
+
+// Build the factors for every ladder rung, O(N·β2³) each.
+// Throws NumericalError when an x-update system is not positive
+// definite. configure() validates its arguments before calling this.
+std::shared_ptr<const CondensedFactors> build_condensed_factors(
+    const TransportQpShape& shape, const TransportQpCost& cost,
+    const AdmmOptions& options);
 
 // Process-wide cache of condensed factorizations, keyed by everything
 // that enters them: the problem shape, the cost data, and the ADMM
-// penalty parameters (rho, rho_eq_scale, sigma). Fleets sharing a plant
-// shape then pay the O(β2³ + (β2·N)³) configure cost once and share the
-// capacitance matrix memory. Thread-safe; misses compute under the lock
-// (a deliberate trade: concurrent first-touch of the *same* key would
-// otherwise duplicate the most expensive step).
+// penalty parameters (rho, rho_eq_scale, sigma). One entry holds the
+// whole ρ ladder around its configured rho. Fleets sharing a plant shape
+// then pay the configure cost once and share the factor memory.
+// Thread-safe; misses compute under the lock (a deliberate trade:
+// concurrent first-touch of the *same* key would otherwise duplicate
+// the most expensive step).
 class CondensedFactorCache {
  public:
   // The cached factors for this key, computed on first request.
@@ -142,18 +196,21 @@ struct CondensedQpResult {
   std::size_t iterations = 0;
   double primal_residual = 0.0;
   double dual_residual = 0.0;
+  std::size_t rho_updates = 0;  // ladder switches during this solve
+  double rho = 0.0;             // inequality-row ρ the solve ended on
 };
 
 class CondensedQpSolver {
  public:
   CondensedQpSolver() = default;
 
-  // Build the factorization and size the arena. O(β2³ + (β2·N)³) once;
-  // `options.rho/rho_eq_scale/sigma` enter the cached factors, so a new
-  // configure() is needed if they change. Throws InvalidArgument on
-  // inconsistent shape/cost sizes. With a non-null `cache` the factors
-  // come from (and are inserted into) the shared cache instead of being
-  // computed locally — a cache hit makes configure O(arena).
+  // Build the factorization and size the arena. O(N·β2³) per ladder
+  // rung, once; `options.rho/rho_eq_scale/sigma` enter the cached
+  // factors, so a new configure() is needed if they change. Throws
+  // InvalidArgument on inconsistent shape/cost sizes. With a non-null
+  // `cache` the factors come from (and are inserted into) the shared
+  // cache instead of being computed locally — a cache hit makes
+  // configure O(arena).
   void configure(const TransportQpShape& shape, const TransportQpCost& cost,
                  const AdmmOptions& options = {},
                  CondensedFactorCache* cache = nullptr);
@@ -181,26 +238,19 @@ class CondensedQpSolver {
                                  std::size_t max_iterations = 0);
 
  private:
-  // Apply B⁻¹ in place via the block-Thomas sweeps. `groups` is the
-  // portal multiplicity: C for full variable blocks, 1 for the
-  // portal-uniform β2·N reduced system (the algebra is identical).
-  void solve_b_in_place(double* x, std::size_t groups) const;
+  // Apply B⁻¹ in place via the block-Thomas sweeps of `rung`, on the
+  // portal-uniform β2·N reduced system.
+  void solve_b_reduced(const CondensedRung& rung, double* x) const;
 
   TransportQpShape shape_;
   TransportQpCost cost_;
   AdmmOptions options_;
   bool configured_ = false;
 
-  // Derived scalars.
-  double rho_in_ = 0.0;      // inequality-row step size
-  double inv_rho_in_ = 0.0;  // hoisted reciprocal for the hot dual updates
-  double rho_eq_ = 0.0;      // equality-row step size
-  double diag_shift_ = 0.0;  // sigma (+ rho_in when nonnegative)
-
-  // The tick-independent factorization (Thomas Schur scalars, Woodbury
-  // capacitance inverse K⁻¹, Hessian diagonal ĉ). Owned via shared_ptr
-  // so fleets configured through a CondensedFactorCache share one
-  // immutable instance instead of each holding a (β2·N)² matrix.
+  // The tick-independent factorization (Hessian diagonal ĉ and the ρ
+  // ladder's Thomas scalars and nested-Woodbury blocks). Owned via
+  // shared_ptr so fleets configured through a CondensedFactorCache share
+  // one immutable instance.
   std::shared_ptr<const CondensedFactors> factors_;
 
   // Arena (sized in configure, reused every solve). zt_ and ax_ only
@@ -215,6 +265,7 @@ class CondensedQpSolver {
   linalg::Vector beq_;                              // C
   linalg::Vector ghat_;                             // β1·N tracking targets
   linalg::Vector qlin_;                             // β2·N compact linear term
+  linalg::Vector kscratch_;                         // 3·β2 capacitance scratch
   CondensedQpResult result_;
 };
 

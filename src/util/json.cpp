@@ -91,14 +91,19 @@ class Parser {
   JsonValue parse_document() {
     JsonValue value = parse_value();
     skip_whitespace();
-    require(pos_ == text_.size(), error("trailing characters"));
+    if (pos_ != text_.size()) fail("trailing characters");
     return value;
   }
 
  private:
-  std::string error(const std::string& what) const {
+  // Throws InvalidArgument naming `what` and the line:column of `at`
+  // (default: the current position). The position scan is linear in the
+  // text, so it runs only on the failure path: building the message on
+  // every successful check made parsing quadratic.
+  [[noreturn]] void fail(const std::string& what) const { fail(what, pos_); }
+  [[noreturn]] void fail(const std::string& what, std::size_t at) const {
     std::size_t line = 1, column = 1;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+    for (std::size_t i = 0; i < at && i < text_.size(); ++i) {
       if (text_[i] == '\n') {
         ++line;
         column = 1;
@@ -106,7 +111,8 @@ class Parser {
         ++column;
       }
     }
-    return format("json: %s at %zu:%zu", what.c_str(), line, column);
+    throw InvalidArgument(
+        format("json: %s at %zu:%zu", what.c_str(), line, column));
   }
 
   void skip_whitespace() {
@@ -119,12 +125,15 @@ class Parser {
 
   char peek() {
     skip_whitespace();
-    require(pos_ < text_.size(), error("unexpected end of input"));
+    if (pos_ >= text_.size()) fail("unexpected end of input");
     return text_[pos_];
   }
 
+  // A missing punctuator is reported where the whitespace before it
+  // starts.
   void expect(char c) {
-    require(peek() == c, error(std::string("expected '") + c + "'"));
+    const std::size_t start = pos_;
+    if (peek() != c) fail(std::string("expected '") + c + "'", start);
     ++pos_;
   }
 
@@ -138,8 +147,9 @@ class Parser {
   }
 
   void expect_literal(const std::string& literal) {
-    require(text_.compare(pos_, literal.size(), literal) == 0,
-            error("invalid literal"));
+    if (text_.compare(pos_, literal.size(), literal) != 0) {
+      fail("invalid literal");
+    }
     pos_ += literal.size();
   }
 
@@ -170,7 +180,8 @@ class Parser {
     JsonValue::Object object;
     if (try_consume('}')) return JsonValue(std::move(object));
     while (true) {
-      require(peek() == '"', error("expected object key"));
+      const std::size_t key_start = pos_;
+      if (peek() != '"') fail("expected object key", key_start);
       std::string key = parse_string();
       expect(':');
       object[std::move(key)] = parse_value();
@@ -196,14 +207,14 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
-      require(pos_ < text_.size(), error("unterminated string"));
+      if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') break;
       if (c != '\\') {
         out.push_back(c);
         continue;
       }
-      require(pos_ < text_.size(), error("unterminated escape"));
+      if (pos_ >= text_.size()) fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
         case '"': out.push_back('"'); break;
@@ -215,7 +226,7 @@ class Parser {
         case 'r': out.push_back('\r'); break;
         case 't': out.push_back('\t'); break;
         case 'u': {
-          require(pos_ + 4 <= text_.size(), error("truncated \\u escape"));
+          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
             const char h = text_[pos_++];
@@ -227,7 +238,7 @@ class Parser {
             } else if (h >= 'A' && h <= 'F') {
               code |= static_cast<unsigned>(h - 'A' + 10);
             } else {
-              throw InvalidArgument(error("invalid \\u escape"));
+              fail("invalid \\u escape");
             }
           }
           // UTF-8 encode (BMP only).
@@ -244,7 +255,7 @@ class Parser {
           break;
         }
         default:
-          throw InvalidArgument(error("invalid escape"));
+          fail("invalid escape");
       }
     }
     return out;
@@ -260,12 +271,13 @@ class Parser {
             text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-    require(pos_ > start, error("expected a value"));
+    if (pos_ == start) fail("expected a value");
     const std::string token = text_.substr(start, pos_ - start);
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
-    require(end == token.c_str() + token.size() && std::isfinite(value),
-            error("malformed number '" + token + "'"));
+    if (end != token.c_str() + token.size() || !std::isfinite(value)) {
+      fail("malformed number '" + token + "'");
+    }
     return JsonValue(value);
   }
 

@@ -110,6 +110,26 @@ TEST(MpcAllocation, CondensedStepIsAllocationFreeAfterWarmup) {
     controller.step_into(input, result);
     EXPECT_EQ(g_allocations - tick_before, 0u) << "tick " << tick;
   }
+
+  // Ticks whose references pull the load onto the first IDC, then the
+  // last, against its cap: these solves move along the ρ ladder, and
+  // switching rungs must not allocate either.
+  std::size_t rho_updates = 0;
+  for (int tick = 0; tick < 8; ++tick) {
+    for (std::size_t k = 0; k < input.u_prev.size(); ++k) {
+      input.u_prev[k] = result.u[k];
+    }
+    for (std::size_t j = 0; j < kIdcs; ++j) {
+      const std::size_t pulled = tick % 2 == 0 ? 0 : kIdcs - 1;
+      input.references[0][j] = j == pulled ? 5.0 : 0.1;
+    }
+    const std::size_t tick_before = g_allocations;
+    controller.step_into(input, result);
+    EXPECT_EQ(g_allocations - tick_before, 0u) << "switching tick " << tick;
+    EXPECT_EQ(result.status, solvers::QpStatus::kOptimal);
+    rho_updates += result.rho_updates;
+  }
+  EXPECT_GT(rho_updates, 0u);
 }
 
 TEST(MpcAllocation, CountersSeeAllocations) {

@@ -97,6 +97,7 @@ TEST(ReportDeterminism, ScrubKeepsDeterministicContent) {
   EXPECT_NE(json.find("\"sweep\""), std::string::npos);
   EXPECT_NE(json.find("\"plane\""), std::string::npos);
   EXPECT_NE(json.find("\"factor_cache\""), std::string::npos);
+  EXPECT_NE(json.find("\"rho_updates\""), std::string::npos);
   EXPECT_NE(json.find("\"total_cost_dollars\""), std::string::npos);
   EXPECT_EQ(json.find("\"wall_s\""), std::string::npos);
   EXPECT_EQ(json.find("\"max_lag_s\""), std::string::npos);

@@ -1,6 +1,6 @@
 // Closed-loop equivalence of the condensed backend: running the full
 // paper scenario with backend "condensed" must reproduce the dense ADMM
-// trajectories (the condensed solver mirrors the same ADMM iteration
+// trajectories (the condensed solver runs the same ADMM iteration
 // through the problem structure), and the degradation chain under fault
 // injection must behave like the dense backends' chain.
 #include <gtest/gtest.h>

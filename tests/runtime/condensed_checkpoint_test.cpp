@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/paper.hpp"
+#include "market/stochastic_price.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/control_runtime.hpp"
 
@@ -120,6 +123,64 @@ TEST(CondensedCheckpoint, KillAndResumeMatchesUninterruptedExactly) {
   EXPECT_EQ(tail.trace->power_w, reference.trace->power_w);
   EXPECT_EQ(tail.trace->servers_on, reference.trace->servers_on);
   EXPECT_EQ(tail.trace->cumulative_cost, reference.trace->cumulative_cost);
+}
+
+TEST(CondensedCheckpoint, KillAndResumeAcrossRhoSwitchesMatchesExactly) {
+  // A demand-responsive market moves every period's QP, so solves on
+  // both sides of the kill walk the ρ ladder. Each solve starts on the
+  // configured ρ, so the resumed run must replay the same rung switches
+  // and land on the same trajectory.
+  core::Scenario scenario = condensed_scenario();
+  std::vector<market::RegionMarketConfig> regions(3);
+  for (std::size_t r = 0; r < 3; ++r) {
+    regions[r].stack.capacity_w = 60e6;
+    regions[r].base_demand_w = 30e6;
+    regions[r].stack.price_floor = 10.0 + 4.0 * static_cast<double>(r);
+  }
+  scenario.prices = std::make_shared<market::StochasticBidPrice>(regions, 17);
+  scenario.start_time_s = units::Seconds{0.0};
+
+  ControlRuntime uninterrupted(scenario, RuntimeOptions{});
+  const RuntimeResult reference = uninterrupted.run();
+  ASSERT_TRUE(reference.completed);
+
+  RuntimeOptions partial;
+  partial.stop_after_step = 53;
+  ControlRuntime killed(scenario, partial);
+  const RuntimeResult head = killed.run();
+  ASSERT_FALSE(head.completed);
+  const RuntimeCheckpoint checkpoint = RuntimeCheckpoint::from_json(
+      parse_json(dump_json(killed.checkpoint().to_json())));
+
+  ControlRuntime resumed(scenario, RuntimeOptions{}, checkpoint);
+  const RuntimeResult tail = resumed.run();
+  ASSERT_TRUE(tail.completed);
+
+  EXPECT_GT(head.telemetry.solver_rho_updates, 0u);
+  EXPECT_GT(reference.telemetry.solver_rho_updates,
+            head.telemetry.solver_rho_updates);
+  EXPECT_EQ(tail.telemetry.solver_rho_updates,
+            reference.telemetry.solver_rho_updates);
+  EXPECT_EQ(tail.telemetry.solver_iterations,
+            reference.telemetry.solver_iterations);
+  EXPECT_EQ(tail.summary.total_cost.value(),
+            reference.summary.total_cost.value());
+  ASSERT_NE(tail.trace, nullptr);
+  ASSERT_NE(reference.trace, nullptr);
+  EXPECT_EQ(tail.trace->power_w, reference.trace->power_w);
+  EXPECT_EQ(tail.trace->cumulative_cost, reference.trace->cumulative_cost);
+
+  // Checkpoints written before ρ adapted carry no switch counter; they
+  // load with it at zero.
+  JsonValue::Object root = checkpoint.to_json().as_object();
+  JsonValue::Object telemetry = root.at("telemetry").as_object();
+  telemetry.erase("solver_rho_updates");
+  root.insert_or_assign("telemetry", JsonValue(std::move(telemetry)));
+  const RuntimeCheckpoint older =
+      RuntimeCheckpoint::from_json(JsonValue(std::move(root)));
+  EXPECT_EQ(older.telemetry.solver_rho_updates, 0u);
+  EXPECT_EQ(older.telemetry.solver_iterations,
+            checkpoint.telemetry.solver_iterations);
 }
 
 }  // namespace

@@ -1,19 +1,23 @@
 // CondensedQpSolver vs the dense backends on the same transport MPC
-// problems. The condensed solver mirrors qp_admm's iteration exactly
-// through the problem structure, so converged solutions must agree with
-// the dense ADMM (and the exact active-set) within solver tolerance,
-// and failure semantics (iteration caps, infeasibility) must match.
+// problems. The condensed solver runs qp_admm's iteration through the
+// problem structure (adapting ρ on top), so converged solutions must
+// agree with the dense ADMM (and the exact active-set) within solver
+// tolerance, and failure semantics (iteration caps, infeasibility) must
+// match.
 #include "solvers/qp_condensed.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "control/constraints.hpp"
 #include "control/prediction.hpp"
 #include "solvers/lsq.hpp"
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace gridctl::solvers {
 namespace {
@@ -301,6 +305,34 @@ TEST(CondensedQp, WarmStartConvergesFaster) {
   EXPECT_LT(warm.iterations, cold_iterations);
 }
 
+TEST(CondensedQp, ReportsRhoLadderMoves) {
+  // A cold solve against a binding cap moves off the configured ρ; the
+  // result names the rung it ended on. A warm restart at the optimum
+  // converges before the first balancing step and stays home.
+  TransportCase c = make_case(2, 3, 4, 2);
+  double total = 0.0;
+  for (double d : c.demand) total += d;
+  c.cap_upper[0] = 0.15 * total;
+  CondensedQpSolver solver = make_solver(c);
+  const CondensedQpResult& cold = solver.solve(
+      c.u_prev, c.demand, c.cap_lower, c.cap_upper, c.references, {}, {});
+  ASSERT_EQ(cold.status, QpStatus::kOptimal);
+  EXPECT_GT(cold.rho_updates, 0u);
+  const AdmmOptions defaults;
+  EXPECT_NE(cold.rho, defaults.rho);
+  const double rungs = std::log(cold.rho / defaults.rho) /
+                       std::log(kRhoLadderStep);
+  EXPECT_NEAR(rungs, std::round(rungs), 1e-9);
+  const Vector warm_x = cold.delta_u;
+  const Vector warm_y = cold.y;
+  const CondensedQpResult& warm = solver.solve(
+      c.u_prev, c.demand, c.cap_lower, c.cap_upper, c.references, warm_x,
+      warm_y);
+  ASSERT_EQ(warm.status, QpStatus::kOptimal);
+  EXPECT_EQ(warm.rho_updates, 0u);
+  EXPECT_EQ(warm.rho, defaults.rho);
+}
+
 TEST(CondensedQp, UnboundedCapsWork) {
   TransportCase c = make_case(2, 3, 4, 2);
   c.cap_upper.assign(c.idcs, kInf);
@@ -311,6 +343,133 @@ TEST(CondensedQp, ZeroMovePenaltyWorks) {
   TransportCase c = make_case(2, 3, 4, 2);
   c.r = 0.0;
   expect_agrees_with_dense(c, 5e-3, 1e-4);
+}
+
+// Dense row-major matrix in long double, for the reference below.
+using Dense = std::vector<std::vector<long double>>;
+
+// Solves a·x = b for SPD `a` (Cholesky, long double).
+std::vector<long double> spd_solve(Dense a, std::vector<long double> b) {
+  const std::size_t n = a.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    a[k][k] = std::sqrt(a[k][k]);
+    for (std::size_t i = k + 1; i < n; ++i) a[i][k] /= a[k][k];
+    for (std::size_t j = k + 1; j < n; ++j) {
+      for (std::size_t i = j; i < n; ++i) a[i][j] -= a[i][k] * a[j][k];
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < i; ++k) b[i] -= a[i][k] * b[k];
+    b[i] /= a[i][i];
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    for (std::size_t k = i + 1; k < n; ++k) b[i] -= a[k][i] * b[k];
+    b[i] /= a[i][i];
+  }
+  return b;
+}
+
+// The capacitance K = D̃⁻¹ + Wᵀ B⁻¹ W assembled densely from its
+// definition, in long double: B = 2r(T ⊗ I_CN) + shift·I + ρ_eq(I_β2 ⊗
+// I_C ⊗ 1_N 1_Nᵀ) is the x-update matrix without its column-sum part,
+// W = I_β2 ⊗ 1_C ⊗ I_N the column-sum map and D̃ = diag(ρ + 2ĉ). Returns
+// K⁻¹c for a β2·N vector c in the solver's t-major layout.
+Vector explicit_kinv_c(const TransportQpShape& shape,
+                       const TransportQpCost& cost, const AdmmOptions& options,
+                       double rho, const Vector& c) {
+  const std::size_t cp = shape.portals, nd = shape.idcs;
+  const std::size_t b1 = shape.prediction, b2 = shape.control;
+  const std::size_t m = cp * nd, n = b2 * m, bn = b2 * nd;
+  const long double shift = options.sigma + (shape.nonnegative ? rho : 0.0);
+  const long double rho_eq =
+      static_cast<long double>(rho) * options.rho_eq_scale;
+  Dense b(n, std::vector<long double>(n, 0.0L));
+  for (std::size_t t = 0; t < b2; ++t) {
+    const long double t_diag = t + 1 < b2 ? 2.0L : 1.0L;
+    for (std::size_t i = 0; i < cp; ++i) {
+      for (std::size_t j = 0; j < nd; ++j) {
+        const std::size_t row = t * m + i * nd + j;
+        b[row][row] += 2.0L * cost.r * t_diag + shift;
+        if (t + 1 < b2) {
+          b[row][row + m] -= 2.0L * cost.r;
+          b[row + m][row] -= 2.0L * cost.r;
+        }
+        for (std::size_t jp = 0; jp < nd; ++jp) {
+          b[row][t * m + i * nd + jp] += rho_eq;
+        }
+      }
+    }
+  }
+  // K = D̃⁻¹ + Wᵀ B⁻¹ W, one column of B⁻¹W per (t, j).
+  Dense k(bn, std::vector<long double>(bn, 0.0L));
+  for (std::size_t col = 0; col < bn; ++col) {
+    const std::size_t t = col / nd, j = col % nd;
+    std::vector<long double> w(n, 0.0L);
+    for (std::size_t i = 0; i < cp; ++i) w[t * m + i * nd + j] = 1.0L;
+    const std::vector<long double> binv_w = spd_solve(b, w);
+    for (std::size_t tp = 0; tp < b2; ++tp) {
+      for (std::size_t i = 0; i < cp; ++i) {
+        for (std::size_t jp = 0; jp < nd; ++jp) {
+          k[tp * nd + jp][col] += binv_w[tp * m + i * nd + jp];
+        }
+      }
+    }
+    const long double cnt =
+        t + 1 < b2 ? 1.0L : static_cast<long double>(b1 - b2 + 1);
+    const long double chat = cnt * cost.q[j] * cost.slope[j] * cost.slope[j];
+    k[col][col] += 1.0L / (rho + 2.0L * chat);
+  }
+  const std::vector<long double> x =
+      spd_solve(k, std::vector<long double>(c.begin(), c.end()));
+  return Vector(x.begin(), x.end());
+}
+
+TEST(CondensedQp, NestedWoodburyMatchesExplicitCapacitance) {
+  Rng rng(20120612);
+  for (int trial = 0; trial < 16; ++trial) {
+    TransportQpShape shape;
+    shape.portals =
+        trial == 1 ? 1 : static_cast<std::size_t>(rng.uniform_int(1, 4));
+    shape.idcs = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    shape.control =
+        trial == 2 ? 1 : static_cast<std::size_t>(rng.uniform_int(1, 4));
+    shape.prediction =
+        shape.control + static_cast<std::size_t>(rng.uniform_int(0, 3));
+    shape.nonnegative = trial != 3 && rng.uniform() < 0.7;
+    TransportQpCost cost;
+    for (std::size_t j = 0; j < shape.idcs; ++j) {
+      cost.q.push_back(rng.uniform(0.0, 3.0));
+      cost.slope.push_back(rng.uniform(0.1, 2.0));
+      cost.y0.push_back(rng.uniform(0.0, 0.1));
+    }
+    cost.r = trial == 0 ? 0.0 : rng.uniform(0.0, 5.0);
+    AdmmOptions options;
+    options.rho = rng.uniform(0.05, 2.0);
+
+    const auto factors = build_condensed_factors(shape, cost, options);
+    ASSERT_EQ(factors->rungs.size(), kRhoLadderRungs);
+    EXPECT_EQ(factors->rungs[kRhoLadderHome].rho, options.rho);
+    const std::size_t bn = shape.control * shape.idcs;
+    Vector c(bn), w(bn), scratch(3 * shape.control);
+    for (double& v : c) v = rng.uniform(-1.0, 1.0);
+    for (std::size_t k = 0; k < kRhoLadderRungs; ++k) {
+      const double rho = factors->rungs[k].rho;
+      if (k > 0) {
+        EXPECT_GT(rho, factors->rungs[k - 1].rho);
+      }
+      factors->solve_capacitance(k, c.data(), w.data(), scratch.data());
+      const Vector ref = explicit_kinv_c(shape, cost, options, rho, c);
+      double err = 0.0, scale = 0.0;
+      for (std::size_t e = 0; e < bn; ++e) {
+        err = std::max(err, std::abs(w[e] - ref[e]));
+        scale = std::max(scale, std::abs(ref[e]));
+      }
+      EXPECT_LE(err, 1e-10 * scale)
+          << "trial " << trial << " rung " << k << " C=" << shape.portals
+          << " N=" << shape.idcs << " b2=" << shape.control
+          << " r=" << cost.r << " nonneg=" << shape.nonnegative;
+    }
+  }
 }
 
 TEST(CondensedQp, RejectsBadShapes) {

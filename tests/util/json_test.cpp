@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -63,6 +65,55 @@ TEST(Json, ErrorsIncludePosition) {
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("2:"), std::string::npos);
   }
+}
+
+TEST(Json, ErrorPositionsPointAtTheFault) {
+  // Exact messages, pinned: a missing punctuator or object key is
+  // reported where the whitespace before it starts, everything else at
+  // the offending character.
+  const std::pair<const char*, const char*> cases[] = {
+      {"{\"a\": 1,\n  \"b\": tru }", "json: invalid literal at 2:8"},
+      {"{\"a\" 1}", "json: expected ':' at 1:5"},
+      {"[1, 2\n  , ]", "json: expected a value at 2:5"},
+      {"{\"a\":1}  x", "json: trailing characters at 1:10"},
+      {"{\n  \"a\": [1,\n 2,\n  3\n",
+       "json: unexpected end of input at 5:1"},
+      {"\"a\\qb\"", "json: invalid escape at 1:5"},
+      {"[1.2.3]", "json: malformed number '1.2.3' at 1:7"},
+      {"{\"a\":1,\n   }", "json: expected object key at 1:8"},
+      {"[1 2]", "json: expected ',' at 1:4"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      parse_json(text);
+      ADD_FAILURE() << "parsed: " << text;
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), message) << text;
+    }
+  }
+}
+
+TEST(Json, ParsesMultiMebibyteDocument) {
+  // Several MiB of nested arrays and objects spread over many lines —
+  // the shape of a fleet checkpoint. The parser must be linear in the
+  // text: a line:column scan on every token made parsing quadratic,
+  // seconds for a few hundred KiB and far longer for this.
+  constexpr std::size_t kRows = 60000;
+  std::string text = "{\"rows\": [\n";
+  for (std::size_t i = 0; i < kRows; ++i) {
+    text += "  {\"id\": \"row-" + std::to_string(i) +
+            "\", \"values\": [0.125, -3.5e-07, 1234.5678, " +
+            std::to_string(i) + "], \"ok\": true}";
+    text += i + 1 < kRows ? ",\n" : "\n";
+  }
+  text += "]}";
+  ASSERT_GT(text.size(), std::size_t{4} << 20);
+  const JsonValue doc = parse_json(text);
+  const auto& rows = doc.at("rows").as_array();
+  ASSERT_EQ(rows.size(), kRows);
+  EXPECT_EQ(rows.back().at("id").as_string(), "row-59999");
+  EXPECT_DOUBLE_EQ(rows.back().at("values").as_array()[3].as_number(),
+                   59999.0);
 }
 
 TEST(Json, TypeMismatchesThrow) {
