@@ -1,8 +1,9 @@
-// Solver microbenchmarks (google-benchmark): simplex LP, ADMM QP,
-// active-set QP, matrix exponential and RLS — the per-control-period
-// numeric workload of the controller.
+// Solver microbenchmarks (google-benchmark): simplex LP, the reference
+// optimizer, ADMM QP, active-set QP, matrix exponential and RLS — the
+// per-control-period numeric workload of the controller.
 #include <benchmark/benchmark.h>
 
+#include "control/reference_optimizer.hpp"
 #include "linalg/expm.hpp"
 #include "solvers/lp_simplex.hpp"
 #include "solvers/qp_active_set.hpp"
@@ -52,6 +53,51 @@ BENCHMARK(BM_SimplexTransportation)
     ->Args({5, 3})
     ->Args({10, 10})
     ->Args({20, 20});
+
+// The reference optimizer's transportation problem (paper eq. 46) as the
+// controller solves it each tick: the greedy fill, with the vertex split
+// below the fleet-scale gate and the product form above it. Args are
+// {IDCs, portals}; demand is 60% of the fleet capacity.
+control::ReferenceProblem reference_problem(std::size_t idcs,
+                                            std::size_t portals,
+                                            std::uint64_t seed) {
+  Rng rng(seed);
+  control::ReferenceProblem problem;
+  double capacity = 0.0;
+  for (std::size_t j = 0; j < idcs; ++j) {
+    datacenter::IdcConfig idc;
+    idc.max_servers = static_cast<std::size_t>(rng.uniform_int(5000, 40000));
+    idc.power = datacenter::ServerPowerModel{
+        units::Watts{150.0}, units::Watts{285.0},
+        units::Rps{rng.uniform(1.0, 2.5)}};
+    idc.latency_bound_s = units::Seconds{0.001};
+    capacity += control::load_cap_for_capacity(idc);
+    problem.idcs.push_back(idc);
+    problem.prices.push_back(rng.uniform(20.0, 80.0));
+  }
+  double weight_sum = 0.0;
+  for (std::size_t i = 0; i < portals; ++i) {
+    problem.portal_demands.push_back(rng.uniform(0.5, 1.5));
+    weight_sum += problem.portal_demands.back();
+  }
+  for (double& demand : problem.portal_demands) {
+    demand *= 0.6 * capacity / weight_sum;
+  }
+  return problem;
+}
+
+void BM_SolveReference(benchmark::State& state) {
+  const auto problem =
+      reference_problem(static_cast<std::size_t>(state.range(0)),
+                        static_cast<std::size_t>(state.range(1)), 42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(control::solve_reference(problem));
+  }
+}
+BENCHMARK(BM_SolveReference)
+    ->Args({3, 5})
+    ->Args({12, 41})
+    ->Args({50, 200});
 
 solvers::QpProblem random_qp(std::size_t n, std::size_t m,
                              std::uint64_t seed) {

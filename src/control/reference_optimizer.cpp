@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "datacenter/latency.hpp"
 #include "solvers/lp_simplex.hpp"
@@ -37,11 +38,14 @@ double load_cap_for_budget(const IdcConfig& idc, double budget_w) {
 
 namespace {
 
-// Above this variable count, the transportation LP is solved by the
-// closed-form greedy below instead of the simplex (whose dense tableau
-// is (c + n) × (n·c) — gigabytes at fleet scale). Small problems keep
-// the simplex so its vertex solutions — which published trajectories
-// pin — are unchanged.
+// Picks the split of the per-IDC loads over the portals, not the solver:
+// every size takes the greedy fill below. Under this variable count, with
+// no demand-charge shadow, the split is a transportation vertex: the
+// published trajectories and the soft-budget pins were recorded with a
+// vertex split on these shapes, and the product form breaks
+// HardBudget.SoftVariantViolatesTransiently. At and above it, and under a
+// shadow, the split is the product form: a vertex there leaves the QP's
+// nonnegativity rows active at warm start and slows its convergence.
 constexpr std::size_t kGreedyGateVars = 4096;
 
 double unit_cost(const ReferenceProblem& problem, std::size_t j) {
@@ -54,90 +58,50 @@ double unit_cost(const ReferenceProblem& problem, std::size_t j) {
   return problem.prices[j] * per_rps;
 }
 
-// The LP's cost on lambda_ij depends only on the IDC column j, so the
-// optimal per-IDC loads are the greedy fill of the cheapest IDCs up to
-// their caps, and the product-form split
-// lambda_ij = L_i · load_j / L_total meets both marginals exactly
-// (row sums L_i, column sums load_j). O(n·c) instead of a simplex run.
-solvers::LpResult solve_allocation_greedy(const ReferenceProblem& problem,
-                                          const std::vector<double>& caps) {
+struct Segment {
+  std::size_t idc;
+  double cap;
+  double cost;
+};
+
+// Transportation LP over lambda_ij (portal-major flattening):
+//   min sum_ij cost_j lambda_ij
+//   s.t. sum_j lambda_ij = L_i          (portal conservation)
+//        sum_i lambda_ij <= cap_j        (per-IDC load cap)
+//        lambda >= 0
+// The cost on lambda_ij depends only on the IDC column j, so the optimal
+// per-IDC loads are the fill of the cheapest segments up to their caps:
+// O(n log n + n·c) instead of a simplex run over a (c + n) × (n·c)
+// tableau. Each IDC is one segment at its unit cost. Under a demand-
+// charge shadow it is two: load that fits under the running billing-
+// cycle peak at the plain unit cost, and load above it at the shadow-
+// uplifted cost (prices[j] + peak_shadow_per_mwh). The per-IDC cost is
+// then piecewise-linear convex in the load, so the fill stays exact.
+// Returns the flattened lambda, or nothing when the caps cannot carry
+// the demand.
+std::optional<Vector> solve_allocation(const ReferenceProblem& problem,
+                                       const std::vector<double>& caps) {
   const std::size_t n = problem.idcs.size();
   const std::size_t c = problem.portal_demands.size();
-  solvers::LpResult result;
-  result.x.assign(n * c, 0.0);
+  Vector x(n * c, 0.0);
 
   double total = 0.0;
   for (double demand : problem.portal_demands) total += demand;
-  if (total <= 0.0) {
-    result.status = solvers::LpStatus::kOptimal;
-    return result;
-  }
+  if (total <= 0.0) return x;
 
-  std::vector<std::size_t> order(n);
-  for (std::size_t j = 0; j < n; ++j) order[j] = j;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return unit_cost(problem, a) < unit_cost(problem, b);
-                   });
-  std::vector<double> loads(n, 0.0);
-  double remaining = total;
-  double objective = 0.0;
-  for (const std::size_t j : order) {
-    const double take = std::min(caps[j], remaining);
-    if (take <= 0.0) continue;
-    loads[j] = take;
-    objective += unit_cost(problem, j) * take;
-    remaining -= take;
-    if (remaining <= 0.0) break;
-  }
-  if (remaining > 1e-9 * std::max(1.0, total)) {
-    result.status = solvers::LpStatus::kInfeasible;
-    return result;
-  }
-  for (std::size_t i = 0; i < c; ++i) {
-    const double share = problem.portal_demands[i] / total;
-    for (std::size_t j = 0; j < n; ++j) {
-      result.x[i * n + j] = share * loads[j];
-    }
-  }
-  result.status = solvers::LpStatus::kOptimal;
-  result.objective = objective;
-  return result;
-}
-
-// Demand-charge variant of the greedy: each IDC contributes two fill
-// segments — load that fits under the running billing-cycle peak at the
-// plain unit cost, and load above it at the shadow-uplifted cost
-// (prices[j] + peak_shadow_per_mwh). The per-IDC cost is piecewise-
-// linear convex in the load, so greedily filling the 2n segments in
-// cost order is exact, and the product-form split applies unchanged.
-solvers::LpResult solve_allocation_peaked(const ReferenceProblem& problem,
-                                          const std::vector<double>& caps) {
-  const std::size_t n = problem.idcs.size();
-  const std::size_t c = problem.portal_demands.size();
-  solvers::LpResult result;
-  result.x.assign(n * c, 0.0);
-
-  double total = 0.0;
-  for (double demand : problem.portal_demands) total += demand;
-  if (total <= 0.0) {
-    result.status = solvers::LpStatus::kOptimal;
-    return result;
-  }
-
-  struct Segment {
-    std::size_t idc;
-    double cap;
-    double cost;
-  };
+  const bool peaked = problem.peak_shadow_per_mwh > 0.0;
   std::vector<Segment> segments;
-  segments.reserve(2 * n);
+  segments.reserve(peaked ? 2 * n : n);
   for (std::size_t j = 0; j < n; ++j) {
+    const double base_cost = unit_cost(problem, j);
+    if (!peaked) {
+      segments.push_back({j, caps[j], base_cost});
+      continue;
+    }
     const double peak =
         problem.cycle_peak_w.empty() ? 0.0 : problem.cycle_peak_w[j];
     const double below =
         std::min(caps[j], load_cap_for_budget(problem.idcs[j], peak));
-    const double base_cost = unit_cost(problem, j);
     // The uplift scales with the same per-req/s factor as the price so
     // both cost bases rank the shadow consistently.
     const double uplift =
@@ -153,71 +117,44 @@ solvers::LpResult solve_allocation_peaked(const ReferenceProblem& problem,
                    [](const Segment& a, const Segment& b) {
                      return a.cost < b.cost;
                    });
+
   std::vector<double> loads(n, 0.0);
   double remaining = total;
-  double objective = 0.0;
   for (const Segment& seg : segments) {
     const double take = std::min(seg.cap, remaining);
     if (take <= 0.0) continue;
     loads[seg.idc] += take;
-    objective += seg.cost * take;
     remaining -= take;
     if (remaining <= 0.0) break;
   }
-  if (remaining > 1e-9 * std::max(1.0, total)) {
-    result.status = solvers::LpStatus::kInfeasible;
-    return result;
+  if (remaining > 1e-9 * std::max(1.0, total)) return std::nullopt;
+
+  if (!peaked && n * c < kGreedyGateVars) {
+    // North-west-corner rule: portals in index order against the IDCs
+    // in cost order (one segment each), drawing the loads down. Every
+    // nonzero cell exhausts a portal's demand or an IDC's load, so at
+    // most n + c - 1 cells are nonzero.
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < c; ++i) {
+      double need = problem.portal_demands[i];
+      while (need > 0.0 && k < segments.size()) {
+        const std::size_t j = segments[k].idc;
+        const double take = std::min(need, loads[j]);
+        x[i * n + j] = take;
+        need -= take;
+        loads[j] -= take;
+        if (loads[j] <= 0.0) ++k;
+      }
+    }
+    return x;
   }
+  // Product form lambda_ij = L_i · load_j / L_total: meets both
+  // marginals (row sums L_i, column sums load_j).
   for (std::size_t i = 0; i < c; ++i) {
     const double share = problem.portal_demands[i] / total;
-    for (std::size_t j = 0; j < n; ++j) {
-      result.x[i * n + j] = share * loads[j];
-    }
+    for (std::size_t j = 0; j < n; ++j) x[i * n + j] = share * loads[j];
   }
-  result.status = solvers::LpStatus::kOptimal;
-  result.objective = objective;
-  return result;
-}
-
-// Transportation LP over lambda_ij (portal-major flattening):
-//   min sum_ij Pr_j (b1_j + b0_j/mu_j) lambda_ij
-//   s.t. sum_j lambda_ij = L_i          (portal conservation)
-//        sum_i lambda_ij <= cap_j        (per-IDC load cap)
-//        lambda >= 0
-solvers::LpResult solve_allocation_lp(const ReferenceProblem& problem,
-                                      const std::vector<double>& caps) {
-  const std::size_t n = problem.idcs.size();
-  const std::size_t c = problem.portal_demands.size();
-  if (problem.peak_shadow_per_mwh > 0.0) {
-    return solve_allocation_peaked(problem, caps);
-  }
-  if (n * c >= kGreedyGateVars) return solve_allocation_greedy(problem, caps);
-  solvers::LpProblem lp;
-  lp.c.assign(n * c, 0.0);
-  for (std::size_t i = 0; i < c; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto& idc = problem.idcs[j];
-      const double per_rps =
-          problem.basis == CostBasis::kPowerIntegral
-              ? idc.power.watts_per_rps() +
-                    idc.power.idle_w.value() / idc.power.service_rate.value()
-              : 1.0;
-      lp.c[i * n + j] = problem.prices[j] * per_rps;
-    }
-  }
-  lp.a_eq = Matrix(c, n * c);
-  lp.b_eq.assign(c, 0.0);
-  for (std::size_t i = 0; i < c; ++i) {
-    for (std::size_t j = 0; j < n; ++j) lp.a_eq(i, i * n + j) = 1.0;
-    lp.b_eq[i] = problem.portal_demands[i];
-  }
-  lp.a_ub = Matrix(n, n * c);
-  lp.b_ub.assign(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < c; ++i) lp.a_ub(j, i * n + j) = 1.0;
-    lp.b_ub[j] = caps[j];
-  }
-  return solvers::solve_lp(lp);
+  return x;
 }
 
 }  // namespace
@@ -251,15 +188,15 @@ ReferenceSolution solve_reference(const ReferenceProblem& problem) {
   }
 
   ReferenceSolution solution;
-  auto lp_result = solve_allocation_lp(problem, caps);
-  if (lp_result.status != solvers::LpStatus::kOptimal) {
+  auto lambda = solve_allocation(problem, caps);
+  if (!lambda) {
     // Budgets too tight for the demand: serve the workload anyway
     // (availability beats the budget) and report the relaxation.
     for (std::size_t j = 0; j < n; ++j) {
       caps[j] = load_cap_for_capacity(problem.idcs[j]);
     }
-    lp_result = solve_allocation_lp(problem, caps);
-    if (lp_result.status != solvers::LpStatus::kOptimal) {
+    lambda = solve_allocation(problem, caps);
+    if (!lambda) {
       solution.feasible = false;  // demand exceeds fleet capacity
       return solution;
     }
@@ -267,7 +204,7 @@ ReferenceSolution solve_reference(const ReferenceProblem& problem) {
   }
 
   solution.feasible = true;
-  solution.allocation = Allocation::unflatten(lp_result.x, c, n);
+  solution.allocation = Allocation::unflatten(*lambda, c, n);
   solution.idc_loads = units::raw_vector(solution.allocation.idc_loads());
   solution.servers.resize(n);
   solution.power_w.resize(n);

@@ -67,6 +67,11 @@ struct ReferenceSolution {
   double cost_rate_per_hour = 0.0;        // sum_j Pr_j P_j, $/h
 };
 
+// Exact greedy fill of the cheapest IDCs up to their caps (the LP's cost
+// depends only on the IDC). The allocation splits the per-IDC loads over
+// the portals as a transportation vertex (north-west corner, at most
+// n + c - 1 nonzeros) when n·c < 4096 and no peak shadow is set, and in
+// product form lambda_ij = L_i · lambda_j / L otherwise.
 ReferenceSolution solve_reference(const ReferenceProblem& problem);
 
 // Largest load an IDC can carry with the latency bound met and power

@@ -5,11 +5,13 @@
 //               A_ub x <= b_ub
 //               x >= 0
 //
-// Bland's rule guarantees termination on degenerate problems. This is the
-// workhorse behind the reference optimizer (the Rao et al. "optimal
-// method" baseline, paper eq. 46) and the active-set QP's feasibility
-// phase. gridctl's LPs have tens of variables, so a dense tableau is the
-// right tool.
+// Bland's rule guarantees termination on degenerate problems. It solves
+// the active-set QP's feasibility phase, the green reference and the
+// deferral LP. The eq.-46 reference (the Rao et al. "optimal method"
+// baseline) does not run here: its cost depends only on the IDC, so
+// control::solve_reference fills the cheapest IDCs exactly, and tests
+// check that fill against this solver. These LPs have tens to hundreds
+// of variables, so a dense tableau is the right tool.
 #pragma once
 
 #include <cstddef>

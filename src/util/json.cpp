@@ -1,6 +1,8 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -328,10 +330,21 @@ void append_number(double value, std::string& out) {
     out += "null";  // JSON has no inf/nan spelling
     return;
   }
-  // Shortest decimal that parses back to the same double: try increasing
-  // precision until the round trip is exact (17 digits always is).
+  // Shortest %g spelling that parses back to the same double: try
+  // increasing precision until the round trip is exact (17 digits always
+  // is). The search starts at the significand length of to_chars'
+  // shortest scientific form: no decimal with fewer digits round-trips,
+  // so no smaller precision can, and the bytes match a search from 1.
   char buffer[32];
-  for (int precision = 1; precision <= 17; ++precision) {
+  char* const end =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::scientific)
+          .ptr;
+  const auto digits = std::count_if(
+      buffer, std::find(buffer, end, 'e'),
+      [](char ch) { return std::isdigit(static_cast<unsigned char>(ch)); });
+  for (auto precision = static_cast<int>(digits); precision <= 17;
+       ++precision) {
     std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
     if (std::strtod(buffer, nullptr) == value) break;
   }

@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace gridctl {
 namespace {
@@ -162,6 +170,64 @@ TEST(JsonWriter, NumbersRoundTripExactly) {
                              123456789.123456789, 5e-324}) {
     const JsonValue parsed = parse_json(dump_json(JsonValue(value)));
     EXPECT_EQ(parsed.as_number(), value) << dump_json(JsonValue(value));
+  }
+}
+
+// The writer's number spelling before its precision search started at
+// the shortest form's digit count: every %g precision from 1 up until
+// strtod round-trips.
+std::string oracle_number(double value) {
+  char buffer[32];
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
+    if (std::strtod(buffer, nullptr) == value) break;
+  }
+  return buffer;
+}
+
+TEST(JsonWriter, NumbersMatchThePrecisionSearchOracle) {
+  std::vector<double> corpus = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                DBL_MIN,
+                                DBL_MAX,
+                                -DBL_MAX,
+                                0.1,
+                                1e21,
+                                1e-7,
+                                9007199254740993.0,  // 2^53 + 1 (rounds)
+                                9007199254740992.0,
+                                1e15,
+                                123456789012345678.0,
+                                4294967296.0,
+                                1000000.0,
+                                120000.0,
+                                100.5,
+                                5e-324,
+                                1.7976931348623157e308};
+  Rng rng(20261018);
+  for (int k = 0; k < 4000; ++k) {
+    // Raw bit patterns cover every exponent, including power-of-two
+    // boundaries where the rounding interval is asymmetric.
+    std::uint64_t bits = rng();
+    double raw;
+    std::memcpy(&raw, &bits, sizeof(raw));
+    if (std::isfinite(raw)) corpus.push_back(raw);
+    // Short decimals, integers and scaled uniforms: the writer's usual
+    // inputs (prices, loads, watts, timestamps).
+    corpus.push_back(static_cast<double>(rng.uniform_int(-100000, 100000)) /
+                     1000.0);
+    corpus.push_back(static_cast<double>(
+        rng.uniform_int(-(std::int64_t{1} << 60), std::int64_t{1} << 60)));
+    corpus.push_back(rng.uniform(-1.0, 1.0) *
+                     std::pow(10.0, rng.uniform_int(-30, 30)));
+    corpus.push_back(std::ldexp(1.0, static_cast<int>(
+                                         rng.uniform_int(-1074, 1023))));
+  }
+  for (const double value : corpus) {
+    EXPECT_EQ(dump_json(JsonValue(value)), oracle_number(value))
+        << std::hexfloat << value;
   }
 }
 
