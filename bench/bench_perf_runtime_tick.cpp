@@ -69,7 +69,7 @@ void BM_RuntimeTick(benchmark::State& state) {
     runtime::ControlRuntime service(scenario, options);
     const runtime::RuntimeResult result = service.run();
     benchmark::DoNotOptimize(result.summary.total_cost.value());
-    merge(hist, result.stats.step_wall_hist);
+    merge(hist, result.telemetry.step_hist);
     steps += result.telemetry.steps;
   }
 

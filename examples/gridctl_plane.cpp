@@ -69,38 +69,6 @@ void print_usage(std::FILE* out) {
       gridctl::core::SolverOverrides::usage());
 }
 
-// Numeric flag values must parse in full — `--portals abc` is a usage
-// error, not a silent zero. Throws InvalidArgument (routed to the
-// usage text by main's catch).
-std::size_t parse_count(const std::string& flag, const std::string& text) {
-  std::size_t end = 0;
-  unsigned long long value = 0;
-  try {
-    value = std::stoull(text, &end);
-  } catch (const std::exception&) {
-    end = 0;
-  }
-  gridctl::require(!text.empty() && end == text.size(),
-                   gridctl::format("%s expects a non-negative integer "
-                                   "(got '%s')",
-                                   flag.c_str(), text.c_str()));
-  return static_cast<std::size_t>(value);
-}
-
-double parse_number(const std::string& flag, const std::string& text) {
-  std::size_t end = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &end);
-  } catch (const std::exception&) {
-    end = 0;
-  }
-  gridctl::require(!text.empty() && end == text.size(),
-                   gridctl::format("%s expects a number (got '%s')",
-                                   flag.c_str(), text.c_str()));
-  return value;
-}
-
 // "P:F:T" -> a scheduled portal re-assignment (portal index, fleet
 // index, absolute scenario time). Throws InvalidArgument on malformed
 // input.
@@ -115,10 +83,11 @@ gridctl::admission::ReassignmentSpec parse_reassign(const std::string& text) {
                                    text.c_str()));
   gridctl::admission::ReassignmentSpec move;
   move.portal = gridctl::format(
-      "p%zu", parse_count("--reassign", text.substr(0, first)));
-  move.fleet = parse_count("--reassign",
-                           text.substr(first + 1, second - first - 1));
-  move.at_time_s = parse_number("--reassign", text.substr(second + 1));
+      "p%zu", gridctl::core::parse_count("--reassign", text.substr(0, first)));
+  move.fleet = gridctl::core::parse_count(
+      "--reassign", text.substr(first + 1, second - first - 1));
+  move.at_time_s =
+      gridctl::core::parse_number("--reassign", text.substr(second + 1));
   return move;
 }
 
@@ -146,19 +115,19 @@ int main(int argc, char** argv) {
       if (solver.parse_flag(argc, argv, i)) {
         continue;
       } else if (arg == "--fleets" && i + 1 < argc) {
-        num_fleets = parse_count(arg, argv[++i]);
+        num_fleets = core::parse_count(arg, argv[++i]);
       } else if (arg == "--workers" && i + 1 < argc) {
-        plane_options.workers = parse_count(arg, argv[++i]);
+        plane_options.workers = core::parse_count(arg, argv[++i]);
       } else if (arg == "--batch" && i + 1 < argc) {
-        plane_options.batch_events = parse_count(arg, argv[++i]);
+        plane_options.batch_events = core::parse_count(arg, argv[++i]);
       } else if (arg == "--stop-after" && i + 1 < argc) {
-        stop_after = parse_count(arg, argv[++i]);
+        stop_after = core::parse_count(arg, argv[++i]);
       } else if (arg == "--portals" && i + 1 < argc) {
-        num_portals = parse_count(arg, argv[++i]);
+        num_portals = core::parse_count(arg, argv[++i]);
       } else if (arg == "--tenants" && i + 1 < argc) {
-        num_tenants = parse_count(arg, argv[++i]);
+        num_tenants = core::parse_count(arg, argv[++i]);
       } else if (arg == "--quota-headroom" && i + 1 < argc) {
-        quota_headroom = parse_number(arg, argv[++i]);
+        quota_headroom = core::parse_number(arg, argv[++i]);
       } else if (arg == "--reassign" && i + 1 < argc) {
         reassigns.push_back(parse_reassign(argv[++i]));
       } else if (arg == "--report" && i + 1 < argc) {

@@ -15,9 +15,8 @@
 // way. `--stop-after N` stops resumably at step N and `--checkpoint`
 // persists the full runtime state; a later `--resume` continues
 // bit-identically (same final cost/trace as an uninterrupted run).
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "check/types.hpp"
@@ -26,6 +25,7 @@
 #include "core/scenario_io.hpp"
 #include "engine/sweep.hpp"
 #include "runtime/control_runtime.hpp"
+#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -60,37 +60,6 @@ void print_usage(std::FILE* out) {
       gridctl::core::SolverOverrides::usage());
 }
 
-// --units-check: same cross-check as gridctl_sim — rectangle-integrate
-// the recorded trace through the dimension-checked Quantity layer and
-// compare against the runtime's own accumulators. Agreement is to
-// float-reassociation tolerance, not bit-identity.
-bool run_units_check(const gridctl::runtime::RuntimeResult& result) {
-  using namespace gridctl;
-  const core::TraceTotals totals = core::integrate_trace(*result.trace);
-  const auto& summary = result.summary;
-  const double cost_err =
-      std::abs(totals.cost.value() - summary.total_cost.value());
-  const double energy_err =
-      std::abs(totals.energy.value() - summary.total_energy.value());
-  const double cost_tol =
-      1e-9 * std::max(1.0, std::abs(summary.total_cost.value()));
-  const double energy_tol =
-      1e-9 * std::max(1.0, std::abs(summary.total_energy.value()));
-  const bool ok = cost_err <= cost_tol && energy_err <= energy_tol;
-  std::printf(
-      "units    : typed re-integration %s (cost |d| $%.3g, energy |d| "
-      "%.3g J over %.0f s)\n",
-      ok ? "ok" : "MISMATCH", cost_err, energy_err, totals.duration.value());
-  if (!ok) {
-    std::fprintf(stderr,
-                 "units-check failed: typed $%.*g vs summary $%.*g, "
-                 "typed %.*g J vs summary %.*g J\n",
-                 17, totals.cost.value(), 17, summary.total_cost.value(), 17,
-                 totals.energy.value(), 17, summary.total_energy.value());
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,51 +77,58 @@ int main(int argc, char** argv) {
   core::SolverOverrides solver;
   runtime::FaultSpec faults;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (solver.parse_flag(argc, argv, i)) {
-      continue;
-    } else if (arg == "--accel" && i + 1 < argc) {
-      options.acceleration = std::atof(argv[++i]);
-    } else if (arg == "--report" && i + 1 < argc) {
-      report_path = argv[++i];
-    } else if (arg == "--csv" && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else if (arg == "--checkpoint" && i + 1 < argc) {
-      checkpoint_path = argv[++i];
-    } else if (arg == "--resume" && i + 1 < argc) {
-      resume_path = argv[++i];
-    } else if (arg == "--stop-after" && i + 1 < argc) {
-      options.stop_after_step =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--drop" && i + 1 < argc) {
-      faults.drop_probability = std::atof(argv[++i]);
-    } else if (arg == "--late" && i + 1 < argc) {
-      faults.late_probability = std::atof(argv[++i]);
-    } else if (arg == "--lateness" && i + 1 < argc) {
-      faults.max_lateness_s = std::atof(argv[++i]);
-    } else if (arg == "--jitter" && i + 1 < argc) {
-      faults.jitter_s = std::atof(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      faults.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      options.deadline_s = std::atof(argv[++i]) * 1e-3;
-    } else if (arg == "--degrade") {
-      options.degrade_on_deadline_miss = true;
-    } else if (arg == "--units-check") {
-      units_check = true;
-    } else if (arg == "--progress" && i + 1 < argc) {
-      options.progress_every = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
-    } else if (!arg.empty() && arg[0] != '-') {
-      scenario_path = arg;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
-      print_usage(stderr);
-      return 2;
+  // A recognized flag with a malformed value throws InvalidArgument;
+  // bad flags report through stderr with the usage text, never a crash.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (solver.parse_flag(argc, argv, i)) {
+        continue;
+      } else if (arg == "--accel" && i + 1 < argc) {
+        options.acceleration = core::parse_number(arg, argv[++i]);
+      } else if (arg == "--report" && i + 1 < argc) {
+        report_path = argv[++i];
+      } else if (arg == "--csv" && i + 1 < argc) {
+        csv_path = argv[++i];
+      } else if (arg == "--checkpoint" && i + 1 < argc) {
+        checkpoint_path = argv[++i];
+      } else if (arg == "--resume" && i + 1 < argc) {
+        resume_path = argv[++i];
+      } else if (arg == "--stop-after" && i + 1 < argc) {
+        options.stop_after_step = core::parse_count(arg, argv[++i]);
+      } else if (arg == "--drop" && i + 1 < argc) {
+        faults.drop_probability = core::parse_number(arg, argv[++i]);
+      } else if (arg == "--late" && i + 1 < argc) {
+        faults.late_probability = core::parse_number(arg, argv[++i]);
+      } else if (arg == "--lateness" && i + 1 < argc) {
+        faults.max_lateness_s = core::parse_number(arg, argv[++i]);
+      } else if (arg == "--jitter" && i + 1 < argc) {
+        faults.jitter_s = core::parse_number(arg, argv[++i]);
+      } else if (arg == "--seed" && i + 1 < argc) {
+        faults.seed = core::parse_count(arg, argv[++i]);
+      } else if (arg == "--deadline-ms" && i + 1 < argc) {
+        options.deadline_s = core::parse_number(arg, argv[++i]) * 1e-3;
+      } else if (arg == "--degrade") {
+        options.degrade_on_deadline_miss = true;
+      } else if (arg == "--units-check") {
+        units_check = true;
+      } else if (arg == "--progress" && i + 1 < argc) {
+        options.progress_every = core::parse_count(arg, argv[++i]);
+      } else if (arg == "--help" || arg == "-h") {
+        print_usage(stdout);
+        return 0;
+      } else if (!arg.empty() && arg[0] != '-') {
+        scenario_path = arg;
+      } else {
+        std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
+        print_usage(stderr);
+        return 2;
+      }
     }
+  } catch (const InvalidArgument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    print_usage(stderr);
+    return 2;
   }
   options.price_faults = faults;
   // Decorrelate the two feeds while keeping one --seed knob.
@@ -232,14 +208,21 @@ int main(int argc, char** argv) {
         "max lag %.1f ms, step p~ %.0f us mean / %.0f us max\n",
         static_cast<unsigned long long>(stats.deadline_misses),
         static_cast<unsigned long long>(stats.degraded_steps),
-        stats.max_lag_s * 1e3, stats.step_wall_hist.mean_us(),
-        stats.step_wall_hist.max_us);
+        stats.max_lag_s * 1e3, result.telemetry.step_hist.mean_us(),
+        result.telemetry.step_hist.max_us);
     std::printf("checks   : %llu invariant checks, %llu violations\n",
                 static_cast<unsigned long long>(
                     result.telemetry.invariants.checks),
                 static_cast<unsigned long long>(
                     result.telemetry.invariants.total()));
-    if (units_check && result.trace && !run_units_check(result)) return 1;
+    if (units_check && result.trace) {
+      const auto check = core::check_units(*result.trace, summary);
+      std::printf("units    : %s\n", check.verdict.c_str());
+      if (!check.ok) {
+        std::fprintf(stderr, "units-check failed: %s\n", check.detail.c_str());
+        return 1;
+      }
+    }
 
     if (!checkpoint_path.empty()) {
       runtime::save_checkpoint(checkpoint_path, service->checkpoint());

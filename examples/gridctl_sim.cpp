@@ -12,18 +12,14 @@
 // the per-step trace as CSV. With no arguments, runs the built-in paper
 // smoothing scenario.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
-
-#include <cmath>
 
 #include "core/controls.hpp"
 #include "core/paper.hpp"
 #include "core/scenario_io.hpp"
 #include "engine/sweep.hpp"
-#include "util/strings.hpp"
+#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -43,39 +39,6 @@ void print_usage(std::FILE* out) {
       "                                    units layer and cross-check the "
       "summary\n",
       gridctl::core::SolverOverrides::usage());
-}
-
-// --units-check: rectangle-integrate the recorded trace through the
-// dimension-checked Quantity layer (Watts x Seconds -> Joules,
-// Joules x $/MWh -> Dollars) and compare against the fleet's own
-// accumulators. The two paths sum the same per-step terms in different
-// association orders, so agreement is to float-reassociation tolerance,
-// not bit-identity.
-bool run_units_check(const gridctl::engine::JobResult& job) {
-  using namespace gridctl;
-  const core::TraceTotals totals = core::integrate_trace(*job.trace);
-  const double cost_err =
-      std::abs(totals.cost.value() - job.summary.total_cost.value());
-  const double energy_err =
-      std::abs(totals.energy.value() - job.summary.total_energy.value());
-  const double cost_tol =
-      1e-9 * std::max(1.0, std::abs(job.summary.total_cost.value()));
-  const double energy_tol =
-      1e-9 * std::max(1.0, std::abs(job.summary.total_energy.value()));
-  const bool ok = cost_err <= cost_tol && energy_err <= energy_tol;
-  std::printf(
-      "units    : typed re-integration %s (cost |d| $%.3g, energy |d| "
-      "%.3g J over %.0f s)\n",
-      ok ? "ok" : "MISMATCH", cost_err, energy_err, totals.duration.value());
-  if (!ok) {
-    std::fprintf(stderr,
-                 "units-check failed (%s): typed $%.*g vs summary $%.*g, "
-                 "typed %.*g J vs summary %.*g J\n",
-                 job.name.c_str(), 17, totals.cost.value(), 17,
-                 job.summary.total_cost.value(), 17, totals.energy.value(),
-                 17, job.summary.total_energy.value());
-  }
-  return ok;
 }
 
 void print_summary(const gridctl::core::Scenario& scenario,
@@ -139,32 +102,40 @@ int main(int argc, char** argv) {
   bool warm_start = true;
   bool units_check = false;
   core::SolverOverrides solver;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (solver.parse_flag(argc, argv, i)) {
-      continue;
-    } else if (arg == "--policy" && i + 1 < argc) {
-      policy_name = argv[++i];
-    } else if (arg == "--csv" && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else if (arg == "--report" && i + 1 < argc) {
-      report_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--no-warm-start") {
-      warm_start = false;
-    } else if (arg == "--units-check") {
-      units_check = true;
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
-    } else if (!arg.empty() && arg[0] != '-') {
-      scenario_path = arg;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
-      print_usage(stderr);
-      return 2;
+  // A recognized flag with a malformed value throws InvalidArgument;
+  // bad flags report through stderr with the usage text, never a crash.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (solver.parse_flag(argc, argv, i)) {
+        continue;
+      } else if (arg == "--policy" && i + 1 < argc) {
+        policy_name = argv[++i];
+      } else if (arg == "--csv" && i + 1 < argc) {
+        csv_path = argv[++i];
+      } else if (arg == "--report" && i + 1 < argc) {
+        report_path = argv[++i];
+      } else if (arg == "--threads" && i + 1 < argc) {
+        threads = core::parse_count(arg, argv[++i]);
+      } else if (arg == "--no-warm-start") {
+        warm_start = false;
+      } else if (arg == "--units-check") {
+        units_check = true;
+      } else if (arg == "--help" || arg == "-h") {
+        print_usage(stdout);
+        return 0;
+      } else if (!arg.empty() && arg[0] != '-') {
+        scenario_path = arg;
+      } else {
+        std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
+        print_usage(stderr);
+        return 2;
+      }
     }
+  } catch (const InvalidArgument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    print_usage(stderr);
+    return 2;
   }
 
   try {
@@ -219,7 +190,15 @@ int main(int argc, char** argv) {
         continue;
       }
       print_summary(scenario, job);
-      if (units_check && job.trace && !run_units_check(job)) failed = true;
+      if (units_check && job.trace) {
+        const auto check = core::check_units(*job.trace, job.summary);
+        std::printf("units    : %s\n", check.verdict.c_str());
+        if (!check.ok) {
+          std::fprintf(stderr, "units-check failed (%s): %s\n",
+                       job.name.c_str(), check.detail.c_str());
+          failed = true;
+        }
+      }
       if (!csv_path.empty() && job.trace) {
         // With multiple policies each trace gets a policy-suffixed file.
         std::string path = csv_path;

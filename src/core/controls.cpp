@@ -1,8 +1,11 @@
 #include "core/controls.hpp"
 
-#include <cstdlib>
+#include <cctype>
+#include <cmath>
+#include <stdexcept>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace gridctl::core {
 
@@ -23,6 +26,37 @@ const char* backend_name(solvers::LsqBackend backend) {
   return "?";
 }
 
+std::size_t parse_count(const std::string& flag, const std::string& text) {
+  std::size_t end = 0;
+  unsigned long long value = 0;
+  // std::stoull accepts a sign (and wraps "-1"); a count starts with a
+  // digit.
+  if (!text.empty() && std::isdigit(static_cast<unsigned char>(text[0]))) {
+    try {
+      value = std::stoull(text, &end);
+    } catch (const std::exception&) {
+      end = 0;
+    }
+  }
+  require(end != 0 && end == text.size(),
+          format("%s expects a non-negative integer (got '%s')", flag.c_str(),
+                 text.c_str()));
+  return static_cast<std::size_t>(value);
+}
+
+double parse_number(const std::string& flag, const std::string& text) {
+  std::size_t end = 0;
+  double value = 0.0;
+  try {
+    value = std::stod(text, &end);
+  } catch (const std::exception&) {
+    end = 0;
+  }
+  require(end != 0 && end == text.size() && std::isfinite(value),
+          format("%s expects a number (got '%s')", flag.c_str(), text.c_str()));
+  return value;
+}
+
 bool SolverOverrides::parse_flag(int argc, char** argv, int& i) {
   const std::string arg = argv[i];
   if (arg == "--strict") {
@@ -35,9 +69,7 @@ bool SolverOverrides::parse_flag(int argc, char** argv, int& i) {
   }
   if (arg == "--qp-cap") {
     require(i + 1 < argc, "--qp-cap needs a value");
-    const long cap = std::atol(argv[++i]);
-    require(cap >= 0, "--qp-cap must be >= 0");
-    max_iterations = static_cast<std::size_t>(cap);
+    max_iterations = parse_count(arg, argv[++i]);
     return true;
   }
   if (arg == "--backend") {

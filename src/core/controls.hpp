@@ -44,6 +44,13 @@ struct SolverControls {
 solvers::LsqBackend parse_backend(const std::string& name);
 const char* backend_name(solvers::LsqBackend backend);
 
+// Numeric command-line flag values must parse in full: `--qp-cap abc`
+// is a usage error, not a silent zero. Both throw InvalidArgument naming
+// `flag` on anything else (for counts: a sign, a fraction, trailing
+// text; for numbers: trailing text or a non-finite value).
+std::size_t parse_count(const std::string& flag, const std::string& text);
+double parse_number(const std::string& flag, const std::string& text);
+
 // Command-line overrides layered on top of whatever the scenario JSON
 // configured. Unset fields leave the scenario's choice alone.
 struct SolverOverrides {

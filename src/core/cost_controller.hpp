@@ -174,7 +174,7 @@ class CostController {
   // The streaming billing meter (null unless the config prices peaks
   // and params.demand_charge_aware is on). Meters the controller's own
   // grid-power predictions; the authoritative bill over a finished run
-  // comes from summarize_trace / market::compute_bill.
+  // comes from ClosedLoop::summarize / market::compute_bill.
   const market::BillingMeter* billing_meter() const {
     return billing_ ? &*billing_ : nullptr;
   }

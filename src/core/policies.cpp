@@ -35,20 +35,21 @@ PolicyDecision OptimalPolicy::decide(const PolicyContext& context) {
 MpcPolicy::MpcPolicy(CostController::Config config)
     : controller_(std::move(config)) {}
 
+PolicyDecision to_policy_decision(CostController::Decision&& decision) {
+  return PolicyDecision{
+      std::move(decision.allocation),
+      std::move(decision.servers),
+      SolverTelemetry{decision.mpc_status, decision.mpc_iterations,
+                      decision.mpc_warm_started, decision.fallback_tier,
+                      decision.mpc_rho_updates},
+      decision.invariants,
+      std::move(decision.battery_w),
+      std::move(decision.battery_soc_j)};
+}
+
 PolicyDecision MpcPolicy::decide(const PolicyContext& context) {
-  const auto decision =
-      controller_.step(context.prices, context.portal_demands);
-  PolicyDecision result;
-  result.allocation = decision.allocation;
-  result.servers = decision.servers;
-  result.solver = SolverTelemetry{decision.mpc_status, decision.mpc_iterations,
-                                  decision.mpc_warm_started,
-                                  decision.fallback_tier,
-                                  decision.mpc_rho_updates};
-  result.invariants = decision.invariants;
-  result.battery_w = decision.battery_w;
-  result.battery_soc_j = decision.battery_soc_j;
-  return result;
+  return to_policy_decision(
+      controller_.step(context.prices, context.portal_demands));
 }
 
 StaticProportionalPolicy::StaticProportionalPolicy(

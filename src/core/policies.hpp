@@ -58,6 +58,11 @@ struct PolicyDecision {
   std::vector<double> battery_soc_j;
 };
 
+// The controller's decision as a PolicyDecision, moving its allocation,
+// server and battery vectors (shared by MpcPolicy and the online
+// runtime, which drives a CostController directly).
+PolicyDecision to_policy_decision(CostController::Decision&& decision);
+
 class AllocationPolicy {
  public:
   virtual ~AllocationPolicy() = default;

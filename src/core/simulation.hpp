@@ -2,6 +2,7 @@
 // record everything the paper's figures plot.
 #pragma once
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,18 @@ struct TraceTotals {
 // operating point and carries no elapsed time, so it is skipped.
 TraceTotals integrate_trace(const SimulationTrace& trace);
 
+// The CLIs' `--units-check` self-test: `integrate_trace` must agree with
+// the summary's own accumulators to 1e-9 relative. Both sum the same
+// per-step terms in different association orders, so agreement is to
+// float reassociation, not bit-identity.
+struct UnitsCheck {
+  bool ok = false;
+  std::string verdict;  // "typed re-integration ok|MISMATCH (...)"
+  std::string detail;   // on a mismatch: both totals at full precision
+};
+UnitsCheck check_units(const SimulationTrace& trace,
+                       const SimulationSummary& summary);
+
 // Mean power over a window. The argument order is part of the typed
 // contract: passing a power where the energy belongs does not compile.
 inline units::Watts average_power(units::Joules energy,
@@ -125,25 +138,79 @@ SimulationResult run_simulation(const Scenario& scenario,
                                 AllocationPolicy& policy,
                                 const SimulationOptions& options = {});
 
-// Append one per-step row to `trace` from the current fleet and
-// fluid-queue state. Shared by the batch simulation and the online
-// runtime (src/runtime) so both record byte-identical series. The
-// trailing storage vectors feed the grid_power_w / battery_soc_j
-// columns when the trace carries them (an empty grid vector falls back
-// to the IDC's IT power, an empty SoC vector to zero).
-void record_step(SimulationTrace& trace, const datacenter::Fleet& fleet,
-                 const std::vector<datacenter::FluidQueue>& queues,
-                 units::Seconds window_time,
-                 const std::vector<units::PricePerMwh>& prices,
-                 const std::vector<units::Rps>& demands,
-                 const std::vector<double>& grid_power_w = {},
-                 const std::vector<double>& battery_soc_j = {});
+// One closed-loop plant, advanced one control period at a time: the
+// fleet and its fluid queues, the power fed back to demand-responsive
+// prices, the storage state of charge and the recorded trace. Both the
+// batch `run_simulation` and the online runtime (runtime::FleetSession)
+// drive every period through `step`, so their series agree bit for bit
+// by construction. The plant state is public so the runtime checkpoint
+// can read and restore it as is.
+class ClosedLoop {
+ public:
+  // `scenario` (validated by the caller) must outlive the loop. The
+  // trace carries storage columns only when some IDC has a battery.
+  ClosedLoop(const Scenario& scenario, std::string policy);
 
-// Compute the run summary from a completed trace and the final fleet
-// state. Shared by the batch simulation and the online runtime.
-SimulationSummary summarize_trace(const Scenario& scenario,
-                                  const SimulationTrace& trace,
-                                  const datacenter::Fleet& fleet,
-                                  const std::string& policy_name);
+  // Set the fleet to the converged OptimalPolicy operating point for the
+  // hour before the window, computed with the scenario controller's cost
+  // basis, and return that decision so the driver can seed its own
+  // controller at the same point.
+  PolicyDecision warm_start(engine::RunTelemetry* telemetry);
+
+  // The scenario's prices at `t` given the current power feedback, and
+  // its portal demands at `t`.
+  std::vector<units::PricePerMwh> prices_at(units::Seconds t) const;
+  std::vector<units::Rps> demands_at(units::Seconds t) const;
+
+  // Row 0: the operating point before the first period, so policy-induced
+  // jumps at the window start are visible in the recorded series (the
+  // paper's figures plot the same way).
+  void record_start(const std::vector<units::PricePerMwh>& prices,
+                    const std::vector<units::Rps>& demands);
+
+  // Period k: `decide()` returns the PolicyDecision; the loop applies it,
+  // advances the plant one period at `prices`, meters the grid draw,
+  // steps the fluid queues and records the row. Into `telemetry` (may be
+  // null) go the decide/plant/record wall time and the decision's solver
+  // and invariant counters. Returns the period's wall seconds.
+  template <typename Decide>
+  double step(std::size_t k, const std::vector<units::PricePerMwh>& prices,
+              const std::vector<units::Rps>& demands, Decide&& decide,
+              engine::RunTelemetry* telemetry) {
+    const Clock::time_point begin = Clock::now();
+    return finish_step(k, prices, demands, decide(), begin, telemetry);
+  }
+
+  // The run summary from the trace and the fleet's accumulators.
+  SimulationSummary summarize() const;
+
+  datacenter::Fleet fleet;
+  std::vector<datacenter::FluidQueue> queues;
+  // Per-IDC power after the last advance (zero before the first), the
+  // feedback demand-responsive prices see. With storage it is the
+  // metered grid draw: IT power minus the battery dispatch, clamped at 0.
+  std::vector<double> last_power_w;
+  // End-of-period state of charge per IDC; empty exactly when no IDC
+  // has a battery.
+  std::vector<double> soc_j;
+  SimulationTrace trace;
+
+ private:
+  // Telemetry step timing only; the trajectory never reads it.
+  using Clock = std::chrono::steady_clock;  // lint: nondet-ok
+
+  double finish_step(std::size_t k,
+                     const std::vector<units::PricePerMwh>& prices,
+                     const std::vector<units::Rps>& demands,
+                     const PolicyDecision& decision, Clock::time_point begin,
+                     engine::RunTelemetry* telemetry);
+  // Append one row. `metered`: the storage columns take last_power_w as
+  // the grid draw (after a period) rather than the IT power (row 0).
+  void record(units::Seconds window_time,
+              const std::vector<units::PricePerMwh>& prices,
+              const std::vector<units::Rps>& demands, bool metered);
+
+  const Scenario& scenario_;
+};
 
 }  // namespace gridctl::core

@@ -1,8 +1,9 @@
 // Per-run telemetry recorded by the closed-loop simulation and
 // aggregated by the sweep engine.
 //
-// A `RunTelemetry` is a passive sink: `core::run_simulation` fills it
-// when `SimulationOptions::telemetry` points at one. Everything here is
+// A `RunTelemetry` is a passive sink: `core::ClosedLoop` fills it every
+// period, for `core::run_simulation` when `SimulationOptions::telemetry`
+// points at one and for the online runtime's sessions. Everything here is
 // plain counters and wall-clock accumulators — no allocation on the
 // recording path beyond the fixed histogram, so instrumentation cost is
 // a few `steady_clock::now()` calls per step. The struct is header-only
@@ -98,6 +99,15 @@ struct RunTelemetry {
   check::InvariantCounts invariants;
 
   StepTimingHistogram step_hist;
+
+  // One closed-loop period's wall time, split into the policy decision,
+  // the plant advance and the trace record.
+  void record_step(double decide_s, double advance_s, double trace_s) {
+    policy_s += decide_s;
+    plant_s += advance_s;
+    record_s += trace_s;
+    step_hist.record((decide_s + advance_s + trace_s) * 1e6);
+  }
 
   void record_solver(solvers::QpStatus status, std::size_t iterations,
                      bool warm_started,

@@ -185,7 +185,6 @@ JsonValue stats_to_json_impl(const RuntimeStats& stats) {
   object.emplace("max_lag_s", num(stats.max_lag_s));
   object.emplace("max_queue_depth",
                  num(static_cast<std::uint64_t>(stats.max_queue_depth)));
-  object.emplace("step_wall_hist", histogram_to_json(stats.step_wall_hist));
   return JsonValue(std::move(object));
 }
 
@@ -206,7 +205,6 @@ RuntimeStats stats_from_json(const JsonValue& json) {
   stats.max_lag_s = json.at("max_lag_s").as_number();
   stats.max_queue_depth =
       static_cast<std::size_t>(as_u64(json.at("max_queue_depth")));
-  stats.step_wall_hist = histogram_from_json(json.at("step_wall_hist"));
   return stats;
 }
 

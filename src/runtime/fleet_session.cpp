@@ -1,7 +1,6 @@
 #include "runtime/fleet_session.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -11,46 +10,29 @@
 
 namespace gridctl::runtime {
 
-namespace {
-
-// Telemetry step timing only (histograms, warm-start accounting);
-// control decisions never read it.
-using clock_type = std::chrono::steady_clock;  // lint: nondet-ok
-
-double seconds_between(clock_type::time_point a, clock_type::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
-}  // namespace
-
 FleetSession::FleetSession(core::Scenario scenario, RuntimeOptions options,
                            const EventClock* clock)
     : scenario_(std::move(scenario)),
       options_(std::move(options)),
       clock_(clock),
-      fleet_(scenario_.idcs),
+      loop_(scenario_, "control"),
       timer_(scenario_.start_time_s.value(), scenario_.ts_s.value(),
              scenario_.num_steps()) {
   init_common();
-  if (options_.warm_start) warm_start();
-  // Row 0: the pre-transition operating point, recorded exactly as the
-  // batch simulation does. These bootstrap reads go straight to the
-  // models — the feeds start delivering from the window start.
-  held_demands_ = scenario_.workload->rates(scenario_.start_time_s.value());
-  held_demand_time_s_ = scenario_.start_time_s.value();
-  held_prices_.resize(scenario_.num_idcs());
-  for (std::size_t j = 0; j < scenario_.num_idcs(); ++j) {
-    held_prices_[j] = scenario_.prices
-                          ->price(scenario_.idcs[j].region,
-                                  scenario_.start_time_s,
-                                  units::Watts{last_power_[j]})
-                          .value();
+  if (options_.warm_start) {
+    const core::PolicyDecision initial = loop_.warm_start(&telemetry_);
+    controller_->reset_to(initial.allocation, initial.servers);
   }
+  // Row 0, as the batch simulation records it. These bootstrap reads go
+  // straight to the models — the feeds start delivering from the window
+  // start.
+  const auto prices = loop_.prices_at(scenario_.start_time_s);
+  const auto demands = loop_.demands_at(scenario_.start_time_s);
+  held_prices_ = units::raw_vector(prices);
   held_price_time_s_ = scenario_.start_time_s.value();
-  core::record_step(trace_, fleet_, queues_, units::Seconds::zero(),
-                    units::typed_vector<units::PricePerMwh>(held_prices_),
-                    units::typed_vector<units::Rps>(held_demands_),
-                    /*grid_power_w=*/{}, controller_->battery_soc_j());
+  held_demands_ = units::raw_vector(demands);
+  held_demand_time_s_ = scenario_.start_time_s.value();
+  loop_.record_start(prices, demands);
 }
 
 FleetSession::FleetSession(core::Scenario scenario, RuntimeOptions options,
@@ -59,7 +41,7 @@ FleetSession::FleetSession(core::Scenario scenario, RuntimeOptions options,
     : scenario_(std::move(scenario)),
       options_(std::move(options)),
       clock_(clock),
-      fleet_(scenario_.idcs),
+      loop_(scenario_, "control"),
       timer_(scenario_.start_time_s.value(), scenario_.ts_s.value(),
              scenario_.num_steps()) {
   init_common();
@@ -86,12 +68,8 @@ void FleetSession::init_common() {
   require(options_.deadline_s >= 0.0, "FleetSession: deadline_s must be >= 0");
 
   const std::size_t n = scenario_.num_idcs();
-  const std::size_t c = scenario_.num_portals();
-
   controller_ = std::make_unique<core::CostController>(
       core::controller_config_from(scenario_, options_.factor_cache));
-  queues_.assign(n, datacenter::FluidQueue{});
-  last_power_.assign(n, 0.0);
 
   std::vector<std::size_t> regions(n);
   for (std::size_t j = 0; j < n; ++j) regions[j] = scenario_.idcs[j].region;
@@ -104,83 +82,39 @@ void FleetSession::init_common() {
       scenario_.workload,
       TickStream(scenario_.start_time_s.value(), scenario_.ts_s.value(),
                  steps, options_.workload_faults));
-
-  trace_.policy = "control";
-  trace_.ts_s = scenario_.ts_s.value();
-  trace_.power_w.assign(n, {});
-  trace_.servers_on.assign(n, {});
-  trace_.idc_load_rps.assign(n, {});
-  trace_.price_per_mwh.assign(n, {});
-  trace_.latency_s.assign(n, {});
-  trace_.backlog_req.assign(n, {});
-  trace_.transient_delay_s.assign(n, {});
-  trace_.portal_rps.assign(c, {});
-  for (const auto& idc : scenario_.idcs) {
-    if (idc.battery.present()) any_battery_ = true;
-  }
-  if (any_battery_) {
-    trace_.grid_power_w.assign(n, {});
-    trace_.battery_soc_j.assign(n, {});
-  }
-
-  stats_.deadline_s =
-      options_.deadline_s > 0.0
-          ? options_.deadline_s
-          : (clock_ ? clock_->wall_budget_s(scenario_.ts_s.value())
-                    : std::numeric_limits<double>::infinity());
+  stats_.deadline_s = deadline_s();
 }
 
-void FleetSession::warm_start() {
-  const auto begin = clock_type::now();
-  const units::Seconds t_prev = std::max(
-      units::Seconds::zero(), scenario_.start_time_s - units::Seconds{3600.0});
-  core::OptimalPolicy seed(scenario_.idcs, scenario_.num_portals(),
-                           scenario_.controller.cost_basis);
-  core::PolicyContext context;
-  context.time_s = t_prev;
-  context.prices.resize(scenario_.num_idcs(), units::PricePerMwh::zero());
-  for (std::size_t j = 0; j < scenario_.num_idcs(); ++j) {
-    context.prices[j] = scenario_.prices->price(
-        scenario_.idcs[j].region, t_prev, units::Watts{last_power_[j]});
-  }
-  context.portal_demands = units::typed_vector<units::Rps>(
-      scenario_.workload->rates(scenario_.start_time_s.value()));
-  const auto initial = seed.decide(context);
-  fleet_.set_operating_point(initial.allocation, initial.servers);
-  controller_->reset_to(initial.allocation, initial.servers);
-  last_power_ = units::raw_vector(fleet_.power_by_idc_w());
-  telemetry_.warm_start_s = seconds_between(begin, clock_type::now());
+double FleetSession::deadline_s() const {
+  if (options_.deadline_s > 0.0) return options_.deadline_s;
+  return clock_ ? clock_->wall_budget_s(scenario_.ts_s.value())
+                : std::numeric_limits<double>::infinity();
 }
 
 void FleetSession::restore_from(const RuntimeCheckpoint& checkpoint) {
   controller_->restore(checkpoint.controller);
-  for (std::size_t j = 0; j < fleet_.size(); ++j) {
+  for (std::size_t j = 0; j < loop_.fleet.size(); ++j) {
     const auto& idc = checkpoint.fleet[j];
-    fleet_.idc(j).restore_state(idc.servers_on, units::Rps{idc.load_rps},
-                                units::Joules{idc.energy_joules},
-                                units::Dollars{idc.cost_dollars},
-                                units::Seconds{idc.overload_seconds});
-    queues_[j].restore(checkpoint.queue_backlogs_req[j]);
+    loop_.fleet.idc(j).restore_state(idc.servers_on, units::Rps{idc.load_rps},
+                                     units::Joules{idc.energy_joules},
+                                     units::Dollars{idc.cost_dollars},
+                                     units::Seconds{idc.overload_seconds});
+    loop_.queues[j].restore(checkpoint.queue_backlogs_req[j]);
   }
+  loop_.last_power_w = checkpoint.last_power_w;
+  loop_.soc_j = controller_->battery_soc_j();
+  loop_.trace = checkpoint.trace;
   held_prices_ = checkpoint.held_prices;
   held_price_time_s_ = checkpoint.held_price_time_s;
   held_demands_ = checkpoint.held_demands;
   held_demand_time_s_ = checkpoint.held_demand_time_s;
-  last_power_ = checkpoint.last_power_w;
   next_step_ = checkpoint.next_step;
   price_ticks_consumed_ = checkpoint.price_ticks_consumed;
   workload_ticks_consumed_ = checkpoint.workload_ticks_consumed;
   degrade_pending_ = checkpoint.degrade_pending;
-  trace_ = checkpoint.trace;
   telemetry_ = checkpoint.telemetry;
   stats_ = checkpoint.stats;
-  // The deadline is derived from *this* process's options, not restored
-  // wall-clock history.
-  stats_.deadline_s =
-      options_.deadline_s > 0.0
-          ? options_.deadline_s
-          : (clock_ ? clock_->wall_budget_s(scenario_.ts_s.value())
-                    : std::numeric_limits<double>::infinity());
+  stats_.deadline_s = deadline_s();
 
   price_feed_->stream().reset(price_ticks_consumed_);
   workload_feed_->stream().reset(workload_ticks_consumed_);
@@ -229,7 +163,7 @@ void FleetSession::apply(const Event& event) {
         break;
       }
       if (tick.arrival_s > tick.time_s + 1e-9) ++stats_.late_ticks;
-      held_prices_ = price_feed_->values(tick.time_s, last_power_);
+      held_prices_ = price_feed_->values(tick.time_s, loop_.last_power_w);
       held_price_time_s_ = tick.time_s;
       ++stats_.price_ticks;
       break;
@@ -262,7 +196,6 @@ void FleetSession::execute_step(std::uint64_t step) {
   const double ts = scenario_.ts_s.value();
   const double t =
       scenario_.start_time_s.value() + static_cast<double>(step) * ts;
-  const std::size_t n = scenario_.num_idcs();
 
   // Feed health at the control boundary: the step is about to run on
   // values older than its own sampling instant.
@@ -270,60 +203,23 @@ void FleetSession::execute_step(std::uint64_t step) {
   if (held_demand_time_s_ < t - 1e-9) ++stats_.stale_workload_steps;
   stats_.max_lag_s = std::max(stats_.max_lag_s, lag_s(t));
 
-  const auto step_begin = clock_type::now();
   const bool degraded = degrade_pending_ && options_.degrade_on_deadline_miss;
   degrade_pending_ = false;
+  if (degraded) ++stats_.degraded_steps;
   // The held feed payloads are raw buffers (the checkpoint schema pins
   // them); type them once per step at the controller boundary.
   const auto prices = units::typed_vector<units::PricePerMwh>(held_prices_);
   const auto demands = units::typed_vector<units::Rps>(held_demands_);
-  const core::CostController::Decision decision =
-      degraded ? controller_->step_degraded(prices, demands)
-               : controller_->step(prices, demands);
-  if (degraded) ++stats_.degraded_steps;
-  const auto decide_end = clock_type::now();
-
-  fleet_.set_operating_point(decision.allocation, decision.servers);
-  fleet_.advance(scenario_.ts_s, prices);
-  last_power_ = units::raw_vector(fleet_.power_by_idc_w());
-  std::vector<double> grid_w;
-  if (any_battery_) {
-    // Metered draw = realized IT power minus the battery dispatch,
-    // clamped at zero; the price feed sees the metered series.
-    grid_w.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const double dispatch =
-          decision.battery_w.empty() ? 0.0 : decision.battery_w[j];
-      grid_w[j] = std::max(0.0, last_power_[j] - dispatch);
-      last_power_[j] = grid_w[j];
-    }
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto& idc = fleet_.idc(j);
-    queues_[j].step(idc.assigned_load().value(),
-                    static_cast<double>(idc.servers_on()) *
-                        idc.config().power.service_rate.value(),
-                    ts);
-  }
-  const auto plant_end = clock_type::now();
-
-  core::record_step(trace_, fleet_, queues_,
-                    units::Seconds{t - scenario_.start_time_s.value() + ts},
-                    prices, demands, grid_w, decision.battery_soc_j);
-  const auto step_end = clock_type::now();
-
-  telemetry_.policy_s += seconds_between(step_begin, decide_end);
-  telemetry_.plant_s += seconds_between(decide_end, plant_end);
-  telemetry_.record_s += seconds_between(plant_end, step_end);
-  const double step_wall_s = seconds_between(step_begin, step_end);
-  telemetry_.step_hist.record(step_wall_s * 1e6);
-  stats_.step_wall_hist.record(step_wall_s * 1e6);
-  telemetry_.record_solver(decision.mpc_status, decision.mpc_iterations,
-                           decision.mpc_warm_started, decision.fallback_tier,
-                           decision.mpc_rho_updates);
-  telemetry_.record_invariants(decision.invariants);
-
-  if (step_wall_s > stats_.deadline_s) {
+  core::CostController& controller = *controller_;
+  const double wall_s = loop_.step(
+      step, prices, demands,
+      [&] {
+        return core::to_policy_decision(
+            degraded ? controller.step_degraded(prices, demands)
+                     : controller.step(prices, demands));
+      },
+      &telemetry_);
+  if (wall_s > stats_.deadline_s) {
     ++stats_.deadline_misses;
     degrade_pending_ = true;  // acted on only if degrade_on_deadline_miss
   }
@@ -335,8 +231,8 @@ void FleetSession::execute_step(std::uint64_t step) {
     progress.step = next_step_;
     progress.total_steps = scenario_.num_steps();
     progress.event_time_s = t + ts;
-    progress.total_power_w = trace_.total_power_w.back();
-    progress.cumulative_cost = trace_.cumulative_cost.back();
+    progress.total_power_w = loop_.trace.total_power_w.back();
+    progress.cumulative_cost = loop_.trace.cumulative_cost.back();
     progress.lag_s = lag_s(t + ts);
     progress.deadline_misses = stats_.deadline_misses;
     progress.degraded_steps = stats_.degraded_steps;
@@ -351,12 +247,11 @@ RuntimeResult FleetSession::finish(bool completed, double wall_s) {
   telemetry_.total_s += wall_s;
 
   RuntimeResult result;
-  result.summary =
-      core::summarize_trace(scenario_, trace_, fleet_, trace_.policy);
+  result.summary = loop_.summarize();
   result.telemetry = telemetry_;
   result.stats = stats_;
   if (options_.record_trace) {
-    result.trace = std::make_shared<core::SimulationTrace>(trace_);
+    result.trace = std::make_shared<core::SimulationTrace>(loop_.trace);
   }
   result.completed = completed;
   return result;
@@ -371,19 +266,19 @@ RuntimeCheckpoint FleetSession::checkpoint() const {
   cp.held_price_time_s = held_price_time_s_;
   cp.held_demands = held_demands_;
   cp.held_demand_time_s = held_demand_time_s_;
-  cp.last_power_w = last_power_;
+  cp.last_power_w = loop_.last_power_w;
   cp.degrade_pending = degrade_pending_;
   cp.controller = controller_->snapshot();
-  cp.fleet.resize(fleet_.size());
-  cp.queue_backlogs_req.resize(fleet_.size());
-  for (std::size_t j = 0; j < fleet_.size(); ++j) {
-    const auto& idc = fleet_.idc(j);
+  cp.fleet.resize(loop_.fleet.size());
+  cp.queue_backlogs_req.resize(loop_.fleet.size());
+  for (std::size_t j = 0; j < loop_.fleet.size(); ++j) {
+    const auto& idc = loop_.fleet.idc(j);
     cp.fleet[j] = {idc.servers_on(), idc.assigned_load().value(),
                    idc.energy_joules().value(), idc.cost_dollars().value(),
                    idc.overload_seconds().value()};
-    cp.queue_backlogs_req[j] = queues_[j].backlog_req();
+    cp.queue_backlogs_req[j] = loop_.queues[j].backlog_req();
   }
-  cp.trace = trace_;
+  cp.trace = loop_.trace;
   cp.telemetry = telemetry_;
   cp.stats = stats_;
   if (const auto* routed = dynamic_cast<const admission::RoutedWorkload*>(

@@ -16,7 +16,7 @@
 //    ticks refresh the held price/demand values (payloads resolved at
 //    consume time so demand-responsive price models see the freshest
 //    power feedback), and every timer event executes one control period
-//    exactly as the batch simulation does.
+//    through the same core::ClosedLoop step as the batch simulation.
 //
 // The two halves touch disjoint state (streams vs. everything else), so
 // a driver may run them on different threads — ControlRuntime's pump
@@ -51,8 +51,6 @@
 #include "core/cost_controller.hpp"
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
-#include "datacenter/fleet.hpp"
-#include "datacenter/fluid_queue.hpp"
 #include "engine/telemetry.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/event_clock.hpp"
@@ -218,9 +216,12 @@ class FleetSession {
   void init_common() GRIDCTL_REQUIRES(stream_role_, control_role_);
   void restore_from(const RuntimeCheckpoint& checkpoint)
       GRIDCTL_REQUIRES(stream_role_, control_role_);
-  void warm_start() GRIDCTL_REQUIRES(stream_role_, control_role_);
   void execute_step(std::uint64_t step) GRIDCTL_REQUIRES(control_role_);
   double lag_s(double event_time_s) const;
+  // The per-step wall budget in force: the option when set, else the
+  // pacing clock's budget for one period, else none (infinity). Derived
+  // from this process's options, never restored from a checkpoint.
+  double deadline_s() const;
 
   // Immutable after construction; readable from either half.
   core::Scenario scenario_;
@@ -230,11 +231,11 @@ class FleetSession {
   mutable util::ThreadRole stream_role_;
   mutable util::ThreadRole control_role_;
 
-  // Control-half plant and controller state.
+  // Control-half plant and controller state. The loop holds a reference
+  // to scenario_, declared above it.
   std::unique_ptr<core::CostController> controller_
       GRIDCTL_GUARDED_BY(control_role_);
-  datacenter::Fleet fleet_ GRIDCTL_GUARDED_BY(control_role_);
-  std::vector<datacenter::FluidQueue> queues_ GRIDCTL_GUARDED_BY(control_role_);
+  core::ClosedLoop loop_ GRIDCTL_GUARDED_BY(control_role_);
   // The feed objects straddle the split internally: their TickStream
   // cursors belong to the stream half (poll() consumes them), their
   // consume-time `values()` resolution to the control half. The
@@ -251,17 +252,11 @@ class FleetSession {
   double held_price_time_s_ GRIDCTL_GUARDED_BY(control_role_) = 0.0;
   std::vector<double> held_demands_ GRIDCTL_GUARDED_BY(control_role_);
   double held_demand_time_s_ GRIDCTL_GUARDED_BY(control_role_) = 0.0;
-  std::vector<double> last_power_ GRIDCTL_GUARDED_BY(control_role_);
   std::uint64_t next_step_ GRIDCTL_GUARDED_BY(control_role_) = 0;
   std::uint64_t price_ticks_consumed_ GRIDCTL_GUARDED_BY(control_role_) = 0;
   std::uint64_t workload_ticks_consumed_ GRIDCTL_GUARDED_BY(control_role_) = 0;
   bool degrade_pending_ GRIDCTL_GUARDED_BY(control_role_) = false;
-  // Some IDC has storage: the trace carries grid/SoC columns and the
-  // price feed sees the metered (post-battery) power. Written only
-  // during construction.
-  bool any_battery_ = false;
 
-  core::SimulationTrace trace_ GRIDCTL_GUARDED_BY(control_role_);
   engine::RunTelemetry telemetry_ GRIDCTL_GUARDED_BY(control_role_);
   RuntimeStats stats_ GRIDCTL_GUARDED_BY(control_role_);
 };

@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <limits>
 
-#include "engine/telemetry.hpp"
+#include "util/json.hpp"
 
 namespace gridctl::runtime {
 
@@ -33,10 +33,6 @@ struct RuntimeStats {
   std::uint64_t degraded_steps = 0;   // periods served by the no-QP hold
   double max_lag_s = 0.0;             // worst pacing lag at a step start
   std::size_t max_queue_depth = 0;    // event-queue high-water mark
-
-  // Wall time per control step (decide + plant + record), microseconds —
-  // the same fixed-storage histogram the batch telemetry uses.
-  engine::StepTimingHistogram step_wall_hist;
 
   // JSON view (schema in docs/ARCHITECTURE.md).
   JsonValue to_json() const;

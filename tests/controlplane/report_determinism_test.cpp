@@ -32,8 +32,8 @@ const std::set<std::string>& wall_keys() {
   static const std::set<std::string> keys = {
       "wall_s",       "total_s",        "policy_s",
       "plant_s",      "record_s",       "warm_start_s",
-      "max_lag_s",    "step_timing",    "step_wall_hist",
-      "steals",       "total_job_wall_s",
+      "max_lag_s",    "step_timing",    "steals",
+      "total_job_wall_s",
   };
   return keys;
 }

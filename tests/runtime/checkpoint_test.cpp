@@ -345,6 +345,36 @@ TEST(Checkpoint, LegacySchemaOneCheckpointStillLoads) {
   EXPECT_TRUE(resumed.run().completed);
 }
 
+TEST(Checkpoint, RetiredStepWallHistogramKeyStillLoads) {
+  const core::Scenario scenario = stateful_scenario();
+  ControlRuntime uninterrupted(scenario, RuntimeOptions{});
+  const RuntimeResult reference = uninterrupted.run();
+
+  RuntimeOptions partial;
+  partial.stop_after_step = 20;
+  ControlRuntime runtime(scenario, partial);
+  runtime.run();
+  const JsonValue modern = runtime.checkpoint().to_json();
+  EXPECT_FALSE(modern.at("stats").has("step_wall_hist"));
+
+  // Checkpoints written before the runtime's duplicate per-step
+  // histogram was folded into telemetry.step_hist carry it under stats;
+  // the loader ignores the key.
+  JsonValue::Object root = modern.as_object();
+  JsonValue::Object stats = modern.at("stats").as_object();
+  stats.emplace("step_wall_hist", modern.at("telemetry").at("step_hist"));
+  root["stats"] = JsonValue(std::move(stats));
+  const RuntimeCheckpoint older =
+      RuntimeCheckpoint::from_json(JsonValue(std::move(root)));
+
+  ControlRuntime resumed(scenario, RuntimeOptions{}, older);
+  const RuntimeResult tail = resumed.run();
+  EXPECT_TRUE(tail.completed);
+  EXPECT_EQ(tail.summary.total_cost.value(),
+            reference.summary.total_cost.value());
+  EXPECT_EQ(tail.telemetry.step_hist.samples, scenario.num_steps());
+}
+
 TEST(Checkpoint, ValidationRejectsScenarioMismatch) {
   const core::Scenario scenario = stateful_scenario();
   RuntimeOptions partial;

@@ -38,6 +38,22 @@ core::Scenario feedback_scenario() {
   return scenario;
 }
 
+// Batteries plus a demand-charge tariff with a charge-aware controller:
+// the metering branch (grid draw = IT power minus battery dispatch),
+// the SoC columns and the billing meter all run.
+core::Scenario storage_scenario() {
+  core::Scenario scenario = quick_scenario(20.0, 1600.0);  // 80 steps
+  scenario.billing.demand_rate_per_kw = 15.0;
+  scenario.billing.cycle_hours = 24.0;
+  scenario.controller.demand_charge_aware = true;
+  for (auto& idc : scenario.idcs) {
+    idc.battery.capacity = units::from_mwh(2.0);
+    idc.battery.max_charge_w = units::Watts{1.0e6};
+    idc.battery.max_discharge_w = units::Watts{1.5e6};
+  }
+  return scenario;
+}
+
 core::SimulationResult run_batch(const core::Scenario& scenario,
                                  engine::RunTelemetry* telemetry) {
   auto policy = engine::control_policy()(scenario);
@@ -59,6 +75,8 @@ void expect_traces_identical(const core::SimulationTrace& a,
   EXPECT_EQ(a.portal_rps, b.portal_rps);
   EXPECT_EQ(a.total_power_w, b.total_power_w);
   EXPECT_EQ(a.cumulative_cost, b.cumulative_cost);
+  EXPECT_EQ(a.grid_power_w, b.grid_power_w);
+  EXPECT_EQ(a.battery_soc_j, b.battery_soc_j);
 }
 
 void expect_counters_identical(const engine::RunTelemetry& a,
@@ -143,6 +161,34 @@ TEST(RuntimeEquivalence, DemandResponsiveFeedbackMatchesBatch) {
             batch.summary.total_cost.value());
   ASSERT_NE(result.trace, nullptr);
   expect_traces_identical(*result.trace, batch.trace);
+}
+
+TEST(RuntimeEquivalence, StorageAndDemandChargeMatchBatch) {
+  const core::Scenario scenario = storage_scenario();
+  engine::RunTelemetry batch_telemetry;
+  const auto batch = run_batch(scenario, &batch_telemetry);
+
+  ControlRuntime runtime(scenario, RuntimeOptions{});
+  const RuntimeResult result = runtime.run();
+
+  EXPECT_TRUE(result.completed);
+  ASSERT_NE(result.trace, nullptr);
+  // The storage columns exist and the batteries actually moved.
+  ASSERT_EQ(batch.trace.grid_power_w.size(), scenario.num_idcs());
+  EXPECT_NE(batch.trace.grid_power_w, batch.trace.power_w);
+  EXPECT_NE(batch.trace.battery_soc_j[0].front(),
+            batch.trace.battery_soc_j[0].back());
+  expect_traces_identical(*result.trace, batch.trace);
+  expect_counters_identical(result.telemetry, batch_telemetry);
+  EXPECT_EQ(result.summary.total_cost.value(),
+            batch.summary.total_cost.value());
+  EXPECT_EQ(result.summary.bill.energy.value(),
+            batch.summary.bill.energy.value());
+  EXPECT_GT(batch.summary.bill.demand.value(), 0.0);
+  EXPECT_EQ(result.summary.bill.demand.value(),
+            batch.summary.bill.demand.value());
+  EXPECT_EQ(result.summary.bill.total().value(),
+            batch.summary.bill.total().value());
 }
 
 TEST(RuntimeEquivalence, FaultedRunIsAccelerationIndependent) {
