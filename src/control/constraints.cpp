@@ -23,19 +23,34 @@ void InputConstraints::validate(std::size_t num_inputs) const {
   }
 }
 
-Matrix conservation_matrix(std::size_t portals, std::size_t idcs) {
-  Matrix h(portals, portals * idcs);
+namespace {
+
+// The two transport blocks, written into `out` (reusing its storage).
+void fill_conservation(std::size_t portals, std::size_t idcs, Matrix& out) {
+  out.resize(portals, portals * idcs);
   for (std::size_t i = 0; i < portals; ++i) {
-    for (std::size_t j = 0; j < idcs; ++j) h(i, i * idcs + j) = 1.0;
+    for (std::size_t j = 0; j < idcs; ++j) out(i, i * idcs + j) = 1.0;
   }
+}
+
+void fill_idc_load(std::size_t portals, std::size_t idcs, Matrix& out) {
+  out.resize(idcs, portals * idcs);
+  for (std::size_t j = 0; j < idcs; ++j) {
+    for (std::size_t i = 0; i < portals; ++i) out(j, i * idcs + j) = 1.0;
+  }
+}
+
+}  // namespace
+
+Matrix conservation_matrix(std::size_t portals, std::size_t idcs) {
+  Matrix h;
+  fill_conservation(portals, idcs, h);
   return h;
 }
 
 Matrix idc_load_matrix(std::size_t portals, std::size_t idcs) {
-  Matrix psi(idcs, portals * idcs);
-  for (std::size_t j = 0; j < idcs; ++j) {
-    for (std::size_t i = 0; i < portals; ++i) psi(j, i * idcs + j) = 1.0;
-  }
+  Matrix psi;
+  fill_idc_load(portals, idcs, psi);
   return psi;
 }
 
@@ -118,17 +133,21 @@ void TransportConstraints::validate() const {
 }
 
 InputConstraints TransportConstraints::materialize() const {
+  InputConstraints dense;
+  materialize_into(dense);
+  return dense;
+}
+
+void TransportConstraints::materialize_into(InputConstraints& dense) const {
   validate();
   const std::size_t c = portals();
   const std::size_t n = idcs();
-  InputConstraints dense;
-  dense.h_eq = conservation_matrix(c, n);
-  dense.h_rhs = demand;
-  dense.a_in = idc_load_matrix(c, n);
-  dense.in_lower = cap_lower;
-  dense.in_upper = cap_upper;
+  fill_conservation(c, n, dense.h_eq);
+  fill_idc_load(c, n, dense.a_in);
+  dense.h_rhs.assign(demand.begin(), demand.end());
+  dense.in_lower.assign(cap_lower.begin(), cap_lower.end());
+  dense.in_upper.assign(cap_upper.begin(), cap_upper.end());
   dense.nonnegative = nonnegative;
-  return dense;
 }
 
 }  // namespace gridctl::control

@@ -64,6 +64,8 @@ struct TransportConstraints {
   void validate() const;
   // Equivalent dense per-step form (for the generic QP backends).
   InputConstraints materialize() const;
+  // Arena form: overwrites `dense`, reusing its storage.
+  void materialize_into(InputConstraints& dense) const;
 };
 
 // Workload-conservation block (paper eq. 26–29): portal-major U layout,

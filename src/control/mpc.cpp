@@ -174,7 +174,7 @@ void MpcController::step_into(const MpcStep& input, MpcResult& result) {
     if (retried.status == solvers::QpStatus::kOptimal) {
       result.used_fallback_backend = true;
       result.warm_started = false;
-      finish_dense(input, result, std::move(retried));
+      finish_dense(input, result, retried);
       return;
     }
   }
@@ -215,7 +215,7 @@ void MpcController::prepare_dense_problem(const MpcStep& input) {
     theta_dirty_ = false;
   }
   build_constant_into(plant_, config_.horizons, input.x, input.u_prev,
-                      constant_);
+                      constant_, constant_scratch_);
 
   // Least-squares residual: sqrt(Q)·(theta ΔU + constant - r_stack).
   lsq_.g.assign(p * b1, 0.0);
@@ -242,7 +242,7 @@ void MpcController::prepare_dense_problem(const MpcStep& input) {
   const InputConstraints* per_step = &config_.constraints;
   if (transport_.has_value()) {
     if (dense_constraints_dirty_) {
-      dense_constraints_ = transport_->materialize();
+      transport_->materialize_into(dense_constraints_);
       dense_constraints_dirty_ = false;
     }
     per_step = &dense_constraints_;
@@ -264,7 +264,13 @@ void MpcController::solve_dense(const MpcStep& input, MpcResult& result) {
       warm_start_.size() == m * b2 ? warm_start_ : kEmptyVector;
   solvers::LsqSolveOptions solve_options{config_.backend,
                                          config_.max_solver_iterations};
-  auto solved = solve_constrained_lsq(lsq_, solve_options, warm);
+  // Created on the first dense solve, so a controller that only ever
+  // takes the condensed path never holds a dense KKT factor.
+  if (!dense_solver_) {
+    dense_solver_ = std::make_unique<solvers::ConstrainedLsqSolver>();
+  }
+  const solvers::ConstrainedLsqResult& solved =
+      dense_solver_->solve(lsq_, solve_options, warm);
 
   result.warm_started = !warm.empty();
   result.used_fallback_backend = false;
@@ -281,19 +287,20 @@ void MpcController::solve_dense(const MpcStep& input, MpcResult& result) {
         config_.backend == solvers::LsqBackend::kActiveSet
             ? solvers::LsqBackend::kAdmm
             : solvers::LsqBackend::kActiveSet;
-    auto retried =
+    const auto retried =
         solve_constrained_lsq(lsq_, solvers::LsqSolveOptions{other, 0});
     if (retried.status == solvers::QpStatus::kOptimal) {
-      solved = std::move(retried);
       result.used_fallback_backend = true;
       result.warm_started = false;
+      finish_dense(input, result, retried);
+      return;
     }
   }
-  finish_dense(input, result, std::move(solved));
+  finish_dense(input, result, solved);
 }
 
 void MpcController::finish_dense(const MpcStep& input, MpcResult& result,
-                                 solvers::ConstrainedLsqResult&& solved) {
+                                 const solvers::ConstrainedLsqResult& solved) {
   const std::size_t m = plant_.num_inputs();
   const std::size_t p = plant_.num_outputs();
   result.status = solved.status;
@@ -315,7 +322,7 @@ void MpcController::finish_dense(const MpcStep& input, MpcResult& result,
   // Only an optimal solution is cached as the next warm start; the
   // condensed dual never survives a dense solve.
   if (solved.status == solvers::QpStatus::kOptimal) {
-    warm_start_ = std::move(solved.x);
+    warm_start_.assign(solved.x.begin(), solved.x.end());
   } else {
     warm_start_.clear();
   }

@@ -28,8 +28,11 @@
 //
 // The controller caches everything that survives a control period:
 // Θ (plant- and horizon-only, rebuilt when mutable_plant() was taken),
-// the condensed factorization, and all problem arenas — after the first
-// step the condensed hot path performs no heap allocation.
+// the condensed factorization, the dense ADMM solver with its KKT
+// factor (factored once per KKT matrix and reused across periods while
+// P, A, σ and the per-row ρ stay bitwise the same), and all problem
+// arenas — after the first step neither the condensed nor the dense
+// ADMM path performs any heap allocation.
 #pragma once
 
 #include <memory>
@@ -108,8 +111,10 @@ class MpcController {
   MpcController(MpcPlant plant, MpcConfig config);
 
   MpcResult step(const MpcStep& input);
-  // Arena variant: writes into `result`, reusing its storage. With the
-  // condensed backend active this is the zero-allocation hot path.
+  // Arena variant: writes into `result`, reusing its storage. After the
+  // first step this allocates nothing on the condensed path and on the
+  // dense ADMM path (a fallback solve, a refactorization or a shape
+  // change may allocate).
   void step_into(const MpcStep& input, MpcResult& result);
 
   // Replace the per-step input constraints (the conservation right-hand
@@ -152,7 +157,7 @@ class MpcController {
   void prepare_dense_problem(const MpcStep& input);
   void solve_dense(const MpcStep& input, MpcResult& result);
   void finish_dense(const MpcStep& input, MpcResult& result,
-                    solvers::ConstrainedLsqResult&& solved);
+                    const solvers::ConstrainedLsqResult& solved);
 
   MpcPlant plant_;
   MpcConfig config_;
@@ -173,9 +178,13 @@ class MpcController {
   solvers::CondensedQpSolver condensed_;
   bool condensed_ready_ = false;
 
-  // Dense-path arenas (lsq_.f doubles as the Θ cache).
+  // Dense-path arenas (lsq_.f doubles as the Θ cache). The dense solver
+  // (QP arena plus the ADMM KKT factor, (n+m)² doubles) is created on
+  // the first dense solve only.
   solvers::ConstrainedLsqProblem lsq_;
+  std::unique_ptr<solvers::ConstrainedLsqSolver> dense_solver_;
   linalg::Vector constant_;
+  ConstantScratch constant_scratch_;
   StackedConstraints stacked_;
   InputConstraints dense_constraints_;  // materialized transport_
   bool dense_constraints_dirty_ = true;

@@ -1,6 +1,7 @@
 #include "control/prediction.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -82,7 +83,7 @@ void build_theta_into(const MpcPlant& plant, const MpcHorizons& horizons,
 
 void build_constant_into(const MpcPlant& plant, const MpcHorizons& horizons,
                          const Vector& x, const Vector& u_prev,
-                         Vector& constant) {
+                         Vector& constant, ConstantScratch& scratch) {
   plant.validate();
   horizons.validate();
   const std::size_t n = plant.num_states();
@@ -97,28 +98,26 @@ void build_constant_into(const MpcPlant& plant, const MpcHorizons& horizons,
   // Affine part of the recursion X_{k+s} = Phi X_{k+s-1} + G U + w with
   // all moves zero: x_const_s = Phi^s x + sum Phi^t w +
   // (sum Phi^{s-1-t} G) u_prev.
-  Vector x_const(n, 0.0);
-  if (n > 0) x_const = x;
-  const Vector gu = n > 0 ? plant.g * u_prev : Vector{};
-  const Vector cu = plant.c_u * u_prev;
+  Vector& x_const = scratch.x_const;
+  x_const.assign(x.begin(), x.end());
+  if (n > 0) linalg::multiply_into(plant.g, u_prev, scratch.gu);
+  linalg::multiply_into(plant.c_u, u_prev, scratch.cu);
 
   for (std::size_t s = 1; s <= b1; ++s) {
     if (n > 0) {
-      Vector next_const = plant.phi * x_const;
+      linalg::multiply_into(plant.phi, x_const, scratch.x_next);
       for (std::size_t i = 0; i < n; ++i) {
-        next_const[i] += gu[i] + plant.w[i];
+        scratch.x_next[i] += scratch.gu[i] + plant.w[i];
       }
-      x_const = std::move(next_const);
+      std::swap(x_const, scratch.x_next);
+      linalg::multiply_into(plant.c_x, x_const, scratch.cx);
     }
     // Output row block s-1: Y_s = C_x X_s + C_u U_t + y0.
-    Vector y_const = plant.y0;
-    if (n > 0) {
-      const Vector cx = plant.c_x * x_const;
-      for (std::size_t i = 0; i < p; ++i) y_const[i] += cx[i];
-    }
-    for (std::size_t i = 0; i < p; ++i) y_const[i] += cu[i];
+    double* y_const = constant.data() + (s - 1) * p;
     for (std::size_t i = 0; i < p; ++i) {
-      constant[(s - 1) * p + i] = y_const[i];
+      y_const[i] = plant.y0[i];
+      if (n > 0) y_const[i] += scratch.cx[i];
+      y_const[i] += scratch.cu[i];
     }
   }
 }
@@ -128,7 +127,8 @@ StackedPrediction build_prediction(const MpcPlant& plant,
                                    const Vector& x, const Vector& u_prev) {
   StackedPrediction out;
   build_theta_into(plant, horizons, out.theta);
-  build_constant_into(plant, horizons, x, u_prev, out.constant);
+  ConstantScratch scratch;
+  build_constant_into(plant, horizons, x, u_prev, out.constant, scratch);
   return out;
 }
 

@@ -64,12 +64,16 @@ StackedPrediction build_prediction(const MpcPlant& plant,
 // the horizons (never on the current state or input), so controllers
 // cache it across control periods and rebuild only the affine constant.
 // Both write into their output arguments, reusing existing storage when
-// the shape is unchanged.
+// the shape is unchanged; with a reused `scratch`, build_constant_into
+// allocates nothing once the shapes have settled.
+struct ConstantScratch {
+  linalg::Vector x_const, x_next, gu, cu, cx;
+};
 void build_theta_into(const MpcPlant& plant, const MpcHorizons& horizons,
                       linalg::Matrix& theta);
 void build_constant_into(const MpcPlant& plant, const MpcHorizons& horizons,
                          const linalg::Vector& x, const linalg::Vector& u_prev,
-                         linalg::Vector& constant);
+                         linalg::Vector& constant, ConstantScratch& scratch);
 
 // The block-lower-triangular cumulative selector Ī (paper eq. 43–45):
 // row-block t maps dU_stack to U_t - U_{k-1} = Σ_{τ<=t} ΔU_τ.

@@ -15,14 +15,27 @@ namespace {
 // keeps the inner loops branch-free and auto-vectorizable, which is
 // what makes the repeated KKT factorizations in the QP solvers cheap.
 
-// Forward substitution L y = b (L lower-triangular, `unit` selects an
-// implicit unit diagonal), overwriting b.
-void forward_subst(const double* l, std::size_t n, bool unit, double* b) {
+// Forward substitution L y = b (L lower-triangular), overwriting b.
+void forward_subst(const double* l, std::size_t n, double* b) {
   for (std::size_t i = 0; i < n; ++i) {
     const double* lrow = l + i * n;
     double sum = b[i];
     for (std::size_t j = 0; j < i; ++j) sum -= lrow[j] * b[j];
-    b[i] = unit ? sum : sum / lrow[i];
+    b[i] = sum / lrow[i];
+  }
+}
+
+// Unit-diagonal forward substitution L y = b, overwriting b, from the
+// rows of `lt` = Lᵀ (the columns of L): once b[j] is final it is
+// subtracted from every later entry with one contiguous saxpy. Entry i
+// still receives b[i] - L(i,0)·b[0] - L(i,1)·b[1] - … in that order,
+// exactly as a row-dot substitution computes it, so the two agree bit
+// for bit.
+void forward_subst_unit_columns(const double* lt, std::size_t n, double* b) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* lcol = lt + j * n;
+    const double bj = b[j];
+    for (std::size_t i = j + 1; i < n; ++i) b[i] -= lcol[i] * bj;
   }
 }
 
@@ -65,7 +78,7 @@ Cholesky::Cholesky(const Matrix& a) : l_(a.rows(), a.cols()) {
 void Cholesky::solve_in_place(Vector& b) const {
   const std::size_t n = l_.rows();
   require(b.size() == n, "Cholesky::solve: dimension mismatch");
-  forward_subst(l_.data(), n, /*unit=*/false, b.data());
+  forward_subst(l_.data(), n, b.data());
   backward_subst(l_.data(), n, /*unit=*/false, b.data());
 }
 
@@ -111,6 +124,8 @@ Ldlt::Ldlt(const Matrix& a) : l_(Matrix::identity(a.rows())), d_(a.rows()) {
     for (std::size_t k = 0; k < i; ++k) di -= lrow[k] * ld[k];
     d[i] = di;
   }
+  lt_ = l_.transpose();
+  singular_ = singular();
 }
 
 bool Ldlt::singular(double tol) const {
@@ -124,8 +139,8 @@ bool Ldlt::singular(double tol) const {
 void Ldlt::solve_in_place(Vector& b) const {
   const std::size_t n = l_.rows();
   require(b.size() == n, "Ldlt::solve: dimension mismatch");
-  if (singular()) throw NumericalError("Ldlt::solve: matrix is singular");
-  forward_subst(l_.data(), n, /*unit=*/true, b.data());
+  if (singular_) throw NumericalError("Ldlt::solve: matrix is singular");
+  forward_subst_unit_columns(lt_.data(), n, b.data());
   for (std::size_t i = 0; i < n; ++i) b[i] /= d_[i];
   backward_subst(l_.data(), n, /*unit=*/true, b.data());
 }

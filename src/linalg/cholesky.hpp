@@ -1,8 +1,9 @@
 // Cholesky (LLᵀ) and LDLᵀ factorizations for symmetric systems.
 //
-// The ADMM QP solver refactorizes a symmetric quasi-definite KKT matrix;
-// LDLᵀ handles the indefinite (+ρI / −I/σ) blocks, while plain Cholesky
-// serves strictly positive-definite normal equations.
+// The dense ADMM QP solver factors a symmetric quasi-definite KKT matrix
+// once and solves against it every iteration; LDLᵀ handles the
+// indefinite (+σI / −diag(1/ρ)) blocks, while plain Cholesky serves
+// strictly positive-definite normal equations.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -30,13 +31,22 @@ class Cholesky {
 // A = L D Lᵀ with unit-lower-triangular L and diagonal D (no pivoting;
 // adequate for the quasi-definite KKT systems gridctl builds, whose
 // diagonal is bounded away from zero by construction).
+//
+// The factor keeps L and Lᵀ, both row-major, so each substitution
+// walks contiguous memory with a saxpy per step: the forward solve
+// reads the columns of L (rows of Lᵀ), the back solve the rows of L.
+// Every element still sees the same subtractions in the same order as
+// the textbook row-dot substitution, so the result is bit-identical
+// and vectorizes without reassociation.
 class Ldlt {
  public:
   explicit Ldlt(const Matrix& a);
 
   bool singular(double tol = 1e-12) const;
   Vector solve(const Vector& b) const;
-  // Overwrites `b` with A⁻¹b; allocation-free.
+  // Overwrites `b` with A⁻¹b; allocation-free. Throws NumericalError
+  // when the factor is singular() at the default tolerance (decided
+  // once, at factorization).
   void solve_in_place(Vector& b) const;
 
   const Matrix& unit_lower() const { return l_; }
@@ -44,8 +54,10 @@ class Ldlt {
 
  private:
   Matrix l_;
+  Matrix lt_;  // Lᵀ, for the column-oriented forward substitution
   Vector d_;
   double scale_ = 0.0;
+  bool singular_ = false;  // singular() at the default tolerance
 };
 
 }  // namespace gridctl::linalg

@@ -8,7 +8,7 @@
 // Mapped onto the QP solvers via P = 2(FᵀWF + R), q = -2 FᵀW g.
 #pragma once
 
-#include "solvers/qp.hpp"
+#include "solvers/qp_admm.hpp"
 
 namespace gridctl::solvers {
 
@@ -48,7 +48,7 @@ struct ConstrainedLsqResult {
 };
 
 // Builds the equivalent QP (merging equality and inequality blocks into
-// one box-constraint matrix) and solves it.
+// one box-constraint matrix) and solves it with a fresh solver.
 ConstrainedLsqResult solve_constrained_lsq(
     const ConstrainedLsqProblem& problem, const LsqSolveOptions& options,
     const linalg::Vector& warm_x = {});
@@ -59,6 +59,27 @@ inline ConstrainedLsqResult solve_constrained_lsq(
     const linalg::Vector& warm_x = {}) {
   return solve_constrained_lsq(problem, LsqSolveOptions{backend, 0}, warm_x);
 }
+
+// The reusable form of solve_constrained_lsq, for a caller that solves
+// a sequence of problems (the MPC, one per control period). It keeps
+// the translated QP and an AdmmSolver between solves, so while F, W, R
+// and the constraint matrices stay put the ADMM backends reuse the KKT
+// factorization and allocate nothing after the first solve. The
+// active-set backend solves one-shot.
+class ConstrainedLsqSolver {
+ public:
+  // Returns a reference to an internally owned result, valid until the
+  // next solve.
+  const ConstrainedLsqResult& solve(const ConstrainedLsqProblem& problem,
+                                    const LsqSolveOptions& options,
+                                    const linalg::Vector& warm_x = {});
+
+ private:
+  QpProblem qp_;
+  AdmmSolver admm_;
+  ConstrainedLsqResult result_;
+  linalg::Vector fx_;  // F x, for the least-squares objective
+};
 
 // The QP translation, exposed for tests.
 QpProblem to_qp(const ConstrainedLsqProblem& problem);

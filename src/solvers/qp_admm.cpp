@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
-#include "linalg/cholesky.hpp"
 #include "util/error.hpp"
 
 namespace gridctl::solvers {
@@ -28,9 +28,11 @@ double QpProblem::objective(const Vector& x) const {
   return 0.5 * linalg::quadratic_form(p, x) + linalg::dot(q, x);
 }
 
-double QpProblem::max_violation(const Vector& x) const {
-  if (num_constraints() == 0) return 0.0;
-  const Vector ax = a * x;
+namespace {
+
+// Worst violation of lower <= ax <= upper (0 when feasible).
+double worst_violation(const Vector& ax, const Vector& lower,
+                       const Vector& upper) {
   double worst = 0.0;
   for (std::size_t i = 0; i < ax.size(); ++i) {
     if (std::isfinite(lower[i])) worst = std::max(worst, lower[i] - ax[i]);
@@ -39,110 +41,163 @@ double QpProblem::max_violation(const Vector& x) const {
   return worst;
 }
 
-namespace {
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
-struct Residuals {
-  double primal = 0.0;
-  double dual = 0.0;
-  double eps_primal = 0.0;
-  double eps_dual = 0.0;
-};
+bool same_bits(const Matrix& a, const Matrix& b) {
+  const std::size_t count = a.rows() * a.cols();
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (count == 0 ||
+          std::memcmp(a.data(), b.data(), count * sizeof(double)) == 0);
+}
 
-Residuals compute_residuals(const QpProblem& prob, const Vector& x,
-                            const Vector& z, const Vector& y,
-                            const AdmmOptions& opt) {
+}  // namespace
+
+double QpProblem::max_violation(const Vector& x) const {
+  if (num_constraints() == 0) return 0.0;
+  return worst_violation(a * x, lower, upper);
+}
+
+void AdmmSolver::ensure_factor(const QpProblem& problem, double sigma) {
+  if (kkt_.has_value() && std::memcmp(&sigma, &sigma_, sizeof sigma) == 0 &&
+      same_bits(rho_next_, rho_) && same_bits(problem.p, p_) &&
+      same_bits(problem.a, a_)) {
+    return;
+  }
+  kkt_.reset();  // a refactorization that throws leaves no stale factor
+  const std::size_t n = problem.num_vars();
+  const std::size_t m = problem.num_constraints();
+  rho_ = rho_next_;
+  rho_inv_.resize(m);
+  for (std::size_t i = 0; i < m; ++i) rho_inv_[i] = 1.0 / rho_[i];
+
+  // KKT matrix [[P + sigma I, Aᵀ], [A, -diag(1/rho)]].
+  Matrix kkt(n + m, n + m);
+  kkt.set_block(0, 0, problem.p);
+  for (std::size_t i = 0; i < n; ++i) kkt(i, i) += sigma;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      kkt(j, n + i) = problem.a(i, j);
+      kkt(n + i, j) = problem.a(i, j);
+    }
+    kkt(n + i, n + i) = -rho_inv_[i];
+  }
+  kkt_.emplace(kkt);
+  p_ = problem.p;
+  a_ = problem.a;
+  sigma_ = sigma;
+  ++factorizations_;
+}
+
+AdmmSolver::Residuals AdmmSolver::residuals(const QpProblem& prob,
+                                            const AdmmOptions& opt) {
+  const std::size_t n = prob.num_vars();
+  const std::size_t m = prob.num_constraints();
+  const Vector& x = result_.x;
+  const Vector& y = result_.y;
+  if (m > 0) {
+    linalg::multiply_into(prob.a, x, ax_);
+  } else {
+    ax_.clear();
+  }
+  linalg::multiply_into(prob.p, x, px_);
+  // Aᵀy by rows of A: entry j still sums A(0,j)·y0 + A(1,j)·y1 + … from
+  // zero, in the order the dot product with a transposed copy would.
+  aty_.assign(n, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* arow = prob.a.data() + i * n;
+    const double yi = y[i];
+    for (std::size_t j = 0; j < n; ++j) aty_[j] += arow[j] * yi;
+  }
+
   Residuals res;
-  const Vector ax = prob.num_constraints() ? prob.a * x : Vector{};
-  const Vector px = prob.p * x;
-  Vector aty(x.size(), 0.0);
-  if (prob.num_constraints()) {
-    const Matrix at = prob.a.transpose();
-    aty = at * y;
+  for (std::size_t i = 0; i < m; ++i) {
+    res.primal = std::max(res.primal, std::abs(ax_[i] - z_[i]));
   }
-  res.primal = prob.num_constraints() ? linalg::norm_inf(linalg::sub(ax, z)) : 0.0;
-  Vector dual_vec = px;
-  for (std::size_t i = 0; i < dual_vec.size(); ++i) {
-    dual_vec[i] += prob.q[i] + aty[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    res.dual = std::max(res.dual, std::abs(px_[i] + (prob.q[i] + aty_[i])));
   }
-  res.dual = linalg::norm_inf(dual_vec);
   const double scale_primal =
-      std::max(prob.num_constraints() ? linalg::norm_inf(ax) : 0.0,
-               linalg::norm_inf(z));
-  const double scale_dual = std::max(
-      {linalg::norm_inf(px), linalg::norm_inf(aty), linalg::norm_inf(prob.q)});
+      std::max(linalg::norm_inf(ax_), linalg::norm_inf(z_));
+  const double scale_dual = std::max({linalg::norm_inf(px_),
+                                      linalg::norm_inf(aty_),
+                                      linalg::norm_inf(prob.q)});
   res.eps_primal = opt.eps_abs + opt.eps_rel * scale_primal;
   res.eps_dual = opt.eps_abs + opt.eps_rel * scale_dual;
   return res;
 }
 
-}  // namespace
-
-QpResult solve_qp_admm(const QpProblem& problem, const AdmmOptions& options,
-                       const Vector& warm_x, const Vector& warm_y) {
+const QpResult& AdmmSolver::solve(const QpProblem& problem,
+                                  const AdmmOptions& options,
+                                  const Vector& warm_x, const Vector& warm_y) {
   problem.validate();
   const std::size_t n = problem.num_vars();
   const std::size_t m = problem.num_constraints();
 
   // Per-row step sizes: equality rows get a much larger rho (OSQP's
   // standard heuristic) so they are enforced tightly.
-  Vector rho(m), rho_inv(m);
+  rho_next_.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
     const bool is_eq = problem.lower[i] == problem.upper[i];
-    rho[i] = is_eq ? options.rho * options.rho_eq_scale : options.rho;
-    rho_inv[i] = 1.0 / rho[i];
+    rho_next_[i] = is_eq ? options.rho * options.rho_eq_scale : options.rho;
   }
+  ensure_factor(problem, options.sigma);
+  const linalg::Ldlt& kkt = *kkt_;
 
-  // KKT matrix [[P + sigma I, Aᵀ], [A, -diag(1/rho)]], factorized once.
-  Matrix kkt(n + m, n + m);
-  kkt.set_block(0, 0, problem.p);
-  for (std::size_t i = 0; i < n; ++i) kkt(i, i) += options.sigma;
+  QpResult& result = result_;
+  result.status = QpStatus::kMaxIterations;
+  result.iterations = 0;
+  result.primal_residual = 0.0;
+  result.dual_residual = 0.0;
+  Vector& x = result.x;
+  Vector& y = result.y;
+  if (warm_x.size() == n) {
+    x = warm_x;
+  } else {
+    x.assign(n, 0.0);
+  }
+  if (warm_y.size() == m) {
+    y = warm_y;
+  } else {
+    y.assign(m, 0.0);
+  }
   if (m > 0) {
-    kkt.set_block(0, n, problem.a.transpose());
-    kkt.set_block(n, 0, problem.a);
-    for (std::size_t i = 0; i < m; ++i) kkt(n + i, n + i) = -rho_inv[i];
+    linalg::multiply_into(problem.a, x, z_);
+  } else {
+    z_.clear();
   }
-  const linalg::Ldlt kkt_factor(kkt);
-
-  QpResult result;
-  Vector x = warm_x.size() == n ? warm_x : Vector(n, 0.0);
-  Vector y = warm_y.size() == m ? warm_y : Vector(m, 0.0);
-  Vector z = m ? problem.a * x : Vector{};
   for (std::size_t i = 0; i < m; ++i) {
-    z[i] = std::clamp(z[i], problem.lower[i], problem.upper[i]);
+    z_[i] = std::clamp(z_[i], problem.lower[i], problem.upper[i]);
   }
 
-  Vector rhs(n + m), sol;
+  const double alpha = options.alpha;
+  rhs_.resize(n + m);
   for (std::size_t iter = 1; iter <= options.max_iterations; ++iter) {
-    // rhs = [sigma x - q; z - y/rho]
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = options.sigma * x[i] - problem.q[i];
-    for (std::size_t i = 0; i < m; ++i) rhs[n + i] = z[i] - rho_inv[i] * y[i];
-    sol = kkt_factor.solve(rhs);
+    // rhs = [sigma x - q; z - y/rho]; the solve overwrites it with
+    // [x_tilde; nu].
+    for (std::size_t i = 0; i < n; ++i) rhs_[i] = options.sigma * x[i] - problem.q[i];
+    for (std::size_t i = 0; i < m; ++i) rhs_[n + i] = z_[i] - rho_inv_[i] * y[i];
+    kkt.solve_in_place(rhs_);
 
-    Vector x_tilde(sol.begin(), sol.begin() + static_cast<std::ptrdiff_t>(n));
-    // nu (the KKT dual block) gives z_tilde = z + (nu - y)/rho.
-    Vector z_tilde(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      z_tilde[i] = z[i] + rho_inv[i] * (sol[n + i] - y[i]);
-    }
-
-    // Over-relaxed updates.
-    Vector x_next(n), z_next(m), y_next(m);
+    // Over-relaxed updates, in place. nu (the KKT dual block) gives
+    // z_tilde = z + (nu - y)/rho.
     for (std::size_t i = 0; i < n; ++i) {
-      x_next[i] = options.alpha * x_tilde[i] + (1.0 - options.alpha) * x[i];
+      x[i] = alpha * rhs_[i] + (1.0 - alpha) * x[i];
     }
     for (std::size_t i = 0; i < m; ++i) {
-      const double z_relaxed =
-          options.alpha * z_tilde[i] + (1.0 - options.alpha) * z[i];
-      z_next[i] = std::clamp(z_relaxed + rho_inv[i] * y[i], problem.lower[i],
-                             problem.upper[i]);
-      y_next[i] = y[i] + rho[i] * (z_relaxed - z_next[i]);
+      const double z_tilde = z_[i] + rho_inv_[i] * (rhs_[n + i] - y[i]);
+      const double z_relaxed = alpha * z_tilde + (1.0 - alpha) * z_[i];
+      const double z_next = std::clamp(z_relaxed + rho_inv_[i] * y[i],
+                                       problem.lower[i], problem.upper[i]);
+      y[i] = y[i] + rho_[i] * (z_relaxed - z_next);
+      z_[i] = z_next;
     }
-    x = std::move(x_next);
-    z = std::move(z_next);
-    y = std::move(y_next);
 
     if (iter % options.check_interval == 0 || iter == options.max_iterations) {
-      const Residuals res = compute_residuals(problem, x, z, y, options);
+      const Residuals res = residuals(problem, options);
       result.iterations = iter;
       result.primal_residual = res.primal;
       result.dual_residual = res.dual;
@@ -154,7 +209,7 @@ QpResult solve_qp_admm(const QpProblem& problem, const AdmmOptions& options,
   }
 
   // Primal infeasibility heuristic: residuals stalled far from feasible.
-  if (result.status != QpStatus::kOptimal) {
+  if (result.status != QpStatus::kOptimal && m > 0) {
     double bound_scale = 1.0;
     for (std::size_t i = 0; i < m; ++i) {
       if (std::isfinite(problem.upper[i])) {
@@ -164,15 +219,23 @@ QpResult solve_qp_admm(const QpProblem& problem, const AdmmOptions& options,
         bound_scale = std::max(bound_scale, std::abs(problem.lower[i]));
       }
     }
-    if (problem.max_violation(x) > 1e-3 * bound_scale) {
+    linalg::multiply_into(problem.a, x, ax_);
+    if (worst_violation(ax_, problem.lower, problem.upper) >
+        1e-3 * bound_scale) {
       result.status = QpStatus::kInfeasible;
     }
   }
 
-  result.x = std::move(x);
-  result.y = std::move(y);
-  result.objective = problem.objective(result.x);
+  // ½xᵀPx + qᵀx, summed as QpProblem::objective does.
+  linalg::multiply_into(problem.p, x, px_);
+  result.objective = 0.5 * linalg::dot(x, px_) + linalg::dot(problem.q, x);
   return result;
+}
+
+QpResult solve_qp_admm(const QpProblem& problem, const AdmmOptions& options,
+                       const Vector& warm_x, const Vector& warm_y) {
+  AdmmSolver solver;
+  return solver.solve(problem, options, warm_x, warm_y);
 }
 
 }  // namespace gridctl::solvers
