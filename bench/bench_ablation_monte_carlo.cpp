@@ -10,6 +10,7 @@
 // a live workload and measures the parallel speedup. The full
 // `SweepReport` (per-run telemetry included) is written next to the
 // binary as bench_ablation_monte_carlo.sweep.json.
+#include <algorithm>
 #include <cmath>
 #include <thread>
 
@@ -92,6 +93,18 @@ int main() {
   const engine::SweepReport serial = engine::SweepRunner(1).run(jobs);
   const engine::SweepReport parallel = engine::SweepRunner().run(jobs);
   const double speedup = serial.wall_s / std::max(parallel.wall_s, 1e-9);
+  // The ideal parallel makespan, from the serial run's per-job times:
+  // no schedule beats the per-thread share of the work or the longest
+  // job (seed 202's control run is about a third of the sweep).
+  double serial_job_s = 0.0;
+  double longest_job_s = 0.0;
+  for (const engine::JobResult& job : serial.jobs) {
+    serial_job_s += job.telemetry.total_s;
+    longest_job_s = std::max(longest_job_s, job.telemetry.total_s);
+  }
+  const double ideal_s =
+      std::max(serial_job_s / static_cast<double>(parallel.threads),
+               longest_job_s);
 
   bool deterministic = serial.jobs.size() == parallel.jobs.size();
   for (std::size_t i = 0; deterministic && i < serial.jobs.size(); ++i) {
@@ -142,9 +155,10 @@ int main() {
               mean_of(cost_ratios), sd_of(cost_ratios), mean_of(vol_ratios),
               sd_of(vol_ratios));
   std::printf(
-      "sweep: %zu jobs, serial %.2f s, %zu threads %.2f s -> %.2fx speedup\n\n",
+      "sweep: %zu jobs, serial %.2f s, %zu threads %.2f s -> %.2fx speedup\n"
+      "       ideal makespan %.2f s -> parallel wall at %.2fx of ideal\n\n",
       parallel.jobs.size(), serial.wall_s, parallel.threads, parallel.wall_s,
-      speedup);
+      speedup, ideal_s, parallel.wall_s / ideal_s);
 
   // Emit the parallel report (plus the serial baseline and speedup) for
   // the bench trajectory.
@@ -178,9 +192,13 @@ int main() {
   ++total;
   {
     // The speedup claim only binds when the hardware can deliver it.
+    // Bounded against the ideal makespan, not a flat speedup: the
+    // longest job caps the speedup near 3x on 4 threads. A pool that
+    // runs the jobs one after another sits near 3x of ideal.
     const bool enough_cores = std::thread::hardware_concurrency() >= 4;
-    passed += expect("sweep speedup >= 3x on >= 4 cores",
-                    !enough_cores || speedup >= 3.0);
+    passed += expect("parallel sweep within 1.5x of the ideal makespan on "
+                    ">= 4 cores",
+                    !enough_cores || parallel.wall_s <= 1.5 * ideal_s);
   }
   print_footer(passed, total);
   return passed == total ? 0 : 1;

@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "runtime/job_result.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -44,16 +45,13 @@ engine::SweepReport PlaneReport::to_sweep_report() const {
   report.wall_s = wall_s;
   report.jobs.reserve(fleets.size());
   for (const FleetResult& fleet : fleets) {
+    if (fleet.ok) {
+      report.jobs.push_back(runtime::to_job_result(fleet.id, fleet.result));
+      continue;
+    }
     engine::JobResult job;
     job.name = fleet.id;
-    job.ok = fleet.ok;
     job.error = fleet.error;
-    if (fleet.ok) {
-      job.policy = fleet.result.summary.policy;
-      job.summary = fleet.result.summary;
-      job.telemetry = fleet.result.telemetry;
-      job.trace = fleet.result.trace;
-    }
     report.jobs.push_back(std::move(job));
   }
   return report;

@@ -7,7 +7,7 @@
 // (`--strict` / `--qp-cap` / `--no-fallback`), and as per-binary
 // override code mutating the scenario. `SolverControls` is the single
 // definition; `SolverOverrides` is the single command-line layer on top
-// of it, shared by gridctl_sim, gridctl_serve and gridctl_plane.
+// of it, shared by the `gridctl sim|serve|plane` subcommands.
 #pragma once
 
 #include <cstddef>

@@ -42,6 +42,12 @@ class EventClock {
   double wall_budget_s(double period_event_s) const;
 
  private:
+  // Wall seconds from the anchor to `event_time_s`'s scheduled instant.
+  double wall_offset_s(double event_time_s) const {
+    return (event_time_s - origin_event_s_) / acceleration_;
+  }
+  // That instant, saturated to a range steady_clock represents: at a
+  // tiny acceleration one period is ~1e22 ns, past int64 nanoseconds.
   std::chrono::steady_clock::time_point wall_for(double event_time_s) const;
 
   double acceleration_;

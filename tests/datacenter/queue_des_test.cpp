@@ -7,6 +7,7 @@
 
 #include "datacenter/latency.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace gridctl::datacenter {
 namespace {
@@ -57,10 +58,10 @@ INSTANTIATE_TEST_SUITE_P(
                       MmnCase{5, 2.0, 7.0}, MmnCase{10, 1.25, 10.0},
                       MmnCase{20, 1.75, 30.0}, MmnCase{50, 1.0, 45.0}),
     [](const ::testing::TestParamInfo<MmnCase>& info) {
-      return "n" + std::to_string(info.param.servers) + "_rho" +
-             std::to_string(static_cast<int>(
-                 100.0 * info.param.lambda /
-                 (static_cast<double>(info.param.servers) * info.param.mu)));
+      return format("n%zu_rho%d", info.param.servers,
+                    static_cast<int>(100.0 * info.param.lambda /
+                                     (static_cast<double>(info.param.servers) *
+                                      info.param.mu)));
     });
 
 TEST(MmnSimulation, Validation) {
